@@ -3,11 +3,13 @@
 // at 1, 2, and 4 lanes, same total worker budget per step — so the row
 // measures what the scatter-gather topology buys, not extra threads.
 //
-// Why lanes move aggregate QPS: the single-engine path serializes
-// concurrent queries' parallel regions through the global pool's
-// ParallelChunks phase lock, while the sharded router submits chunk
-// tasks to per-lane pools with no cross-query phase lock — concurrent
-// queries genuinely interleave. The final "scaling" entry exports
+// What lanes can still buy: the single-engine pool already runs
+// concurrent queries' parallel regions side by side, one job per region
+// (DESIGN.md §10), so the lanes' per-lane pools no longer dodge any
+// cross-query serialization. What is left to measure is partitioning
+// itself: CPU-pinned lane pools and chunk ranges split by root key. Compare
+// this row against bench/server_loadgen on the same host to see whether
+// the lanes earn their code. The final "scaling" entry exports
 // speedup_4x = QPS(4 lanes) / QPS(1 lane) at the widest connection
 // step; the differential suite (tests/shard_test.cc) separately pins
 // down that the answers are bit-identical across topologies.

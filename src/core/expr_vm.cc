@@ -228,7 +228,7 @@ bool ExprProgram::CompileNode(const Expr& e, const Table& table) {
 bool ExprProgram::CheckStack() const {
   int depth = 0;
   for (const Instr& in : instrs_) {
-    int pops;
+    int pops = -1;  // stays -1 for an op no case names: fail closed
     switch (in.op) {
       case Op::kConst:
       case Op::kLoadInt:
@@ -262,7 +262,7 @@ bool ExprProgram::CheckStack() const {
         pops = 2;
         break;
     }
-    if (depth < pops) return false;
+    if (pops < 0 || depth < pops) return false;
     depth += 1 - pops;
     if (depth > kMaxStack) return false;
   }

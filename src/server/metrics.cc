@@ -3,6 +3,7 @@
 #include "core/trie_cache.h"
 #include "obs/metrics_text.h"
 #include "obs/stats.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded::server {
 
@@ -115,6 +116,18 @@ std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
   w.Gauge("lh_trie_cache_budget_bytes",
           "Configured trie-cache budget (0 = unbounded).",
           static_cast<double>(cache->budget_bytes()));
+
+  // The process-wide pool's parallel regions: concurrent queries' regions
+  // run side by side as separate jobs (DESIGN.md §10), so the gauge reads
+  // how many are sharing the workers at scrape time.
+  const ThreadPool::JobCounts jobs = ThreadPool::Global().job_counts();
+  w.Gauge("lh_pool_live_jobs",
+          "Parallel regions currently registered with the thread pool.",
+          static_cast<double>(jobs.live));
+  w.Counter("lh_pool_jobs_started_total",
+            "Parallel regions registered with the thread pool (small and "
+            "nested regions run inline and are not counted).",
+            static_cast<double>(jobs.started));
 
   // Engine-lifetime execution totals: the sum of every profiled query's
   // counter snapshot, under an engine_ prefix so the per-query counter

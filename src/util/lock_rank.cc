@@ -11,8 +11,6 @@ const char* LockRankName(LockRank rank) {
       return "server_queue";
     case LockRank::kGlobalPool:
       return "global_pool";
-    case LockRank::kPoolSubmit:
-      return "pool_submit";
     case LockRank::kPool:
       return "pool";
     case LockRank::kExecScratch:
@@ -41,9 +39,9 @@ namespace lock_rank {
 
 namespace {
 
-// Deep enough for any real nesting (the engine's deepest documented chain
-// is 5: server_queue would-be → pool_submit → pool → trace-ish leaves);
-// overflowing it is itself a discipline bug and aborts.
+// Deep enough for any real nesting (held ranks strictly increase, so at
+// most one per LockRank enumerator — 11 — can be held at once); overflowing
+// it is itself a discipline bug and aborts.
 constexpr int kMaxHeldLocks = 32;
 
 thread_local LockRank t_held[kMaxHeldLocks];

@@ -39,15 +39,12 @@ enum class LockRank : int {
   /// is lock-free). Below the pool locks because replacing the pool joins
   /// worker threads, which takes ThreadPool::mu_.
   kGlobalPool = 20,
-  /// ThreadPool::submit_mu_ — serializes ParallelChunks callers. Held for
-  /// the whole parallel region, including user chunks running on the
-  /// calling thread, so everything a chunk may lock ranks above it.
-  kPoolSubmit = 30,
-  /// ThreadPool::mu_ — task deque + job state.
+  /// ThreadPool::mu_ — task deque + live-job list. Held only around queue
+  /// and job-list operations, never across a chunk or a task.
   kPool = 40,
   /// NodeExec::scratch_mu_ — chunk-run worker freelist. Acquired briefly at
-  /// chunk start/end from inside parallel regions (kPoolSubmit may be
-  /// held); nothing is ever acquired while it is held.
+  /// chunk start/end from inside parallel regions; nothing is ever
+  /// acquired while it is held.
   kExecScratch = 45,
   /// TrieCache::flight_mu_ — single-flight build registry. Never held
   /// across a build or another cache lock.
@@ -58,7 +55,7 @@ enum class LockRank : int {
   /// TrieCache::Shard::mu — per-shard hash map. Innermost cache lock.
   kCacheShard = 70,
   /// Executor abort mutexes (first-error capture). Taken from inside
-  /// parallel chunks, i.e. while kPoolSubmit/kPool may be held.
+  /// parallel chunks.
   kExecAbort = 80,
   /// obs::Trace::mu_ — span buffer.
   kTrace = 90,
@@ -70,7 +67,7 @@ enum class LockRank : int {
   kLeaf = 1000,
 };
 
-/// Stable lowercase name for diagnostics ("pool_submit", "cache_shard"...).
+/// Stable lowercase name for diagnostics ("pool", "cache_shard"...).
 const char* LockRankName(LockRank rank);
 
 // The checker rides the LH_DCHECK gate (util/logging.h): on in debug and

@@ -16,8 +16,8 @@
 namespace levelheaded {
 namespace {
 // Nested ParallelChunks calls (e.g. a parallel BLAS kernel invoked from a
-// parallel WCOJ loop) run inline on the calling thread rather than
-// re-entering the pool.
+// parallel WCOJ loop) run inline on the calling thread: a worker inside one
+// job's chunk must not join another job, or a slot could run twice.
 thread_local bool t_in_parallel_region = false;
 
 // Pool-worker slot of the current thread, or -1 for external threads.
@@ -35,11 +35,11 @@ std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
 }
 
 // Published pointer for the lock-free Global() fast path. Nested parallel
-// kernels (BLAS-from-WCOJ, trie builds) call Global() from inside chunks
-// while submit_mu_ (rank pool_submit) is held; taking the slot mutex there
-// would both invert the lock order — kGlobalPool ranks below the pool
-// locks because replacing the pool joins workers under ThreadPool::mu_ —
-// and serialize every kernel on one global mutex.
+// kernels (BLAS-from-WCOJ, trie builds) call Global() from inside chunks,
+// where engine locks may be held; taking the slot mutex there would both
+// invert the lock order — kGlobalPool ranks below the pool lock because
+// replacing the pool joins workers under ThreadPool::mu_ — and serialize
+// every kernel on one global mutex.
 std::atomic<ThreadPool*>& GlobalPoolPtr() {
   static std::atomic<ThreadPool*> pool{nullptr};
   return pool;
@@ -93,50 +93,39 @@ void ThreadPool::WorkerLoop(int slot) {
   if (static_cast<size_t>(slot) < pin_cpus_.size()) {
     PinCurrentThread(pin_cpus_[slot]);
   }
-  uint64_t seen_epoch = 0;
+  ParallelJob* job = nullptr;  // the job this worker last ran a slice of
   while (true) {
-    ParallelJob* job = nullptr;
     Task task;
-    bool have_task = false;
     {
       MutexLock lock(&mu_);
-      while (!(shutdown_ || !tasks_.empty() ||
-               (current_job_ != nullptr && job_epoch_ != seen_epoch))) {
-        wake_cv_.Wait(&mu_);
-      }
-      if (shutdown_) return;
+      if (job != nullptr && --job->active_workers == 0) done_cv_.NotifyAll();
+      job = nullptr;
       // Tasks take priority over job chunks: tasks are sub-work spawned from
       // inside running chunks, so draining them first bounds the queue and
       // unblocks waiters helping on TaskGroup::Wait.
-      if (!tasks_.empty()) {
+      while (!shutdown_ && tasks_.empty() && (job = PickJob()) == nullptr) {
+        wake_cv_.Wait(&mu_);
+      }
+      if (shutdown_) return;
+      if (job != nullptr) {
+        ++job->active_workers;
+      } else {
         task = std::move(tasks_.front());
         tasks_.pop_front();
-        have_task = true;
-      } else {
-        seen_epoch = job_epoch_;
-        job = current_job_;
-        // Relaxed: the increment happens under mu_ before the coordinator
-        // can observe job completion; ordering comes from the mutex.
-        job->active_workers.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    if (have_task) {
+    if (job == nullptr) {
       RunTask(task, slot);
       continue;
     }
     RunJobSlice(job, slot);
-    if (job->active_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock lock(&mu_);
-      done_cv_.NotifyAll();
-    }
   }
 }
 
 void ThreadPool::RunTask(Task& task, int slot) {
-  // Tasks count as a parallel region: a ParallelChunks issued from inside a
-  // task runs inline instead of re-entering the single job slot. Save and
-  // restore rather than set/clear — helping threads run tasks from within
-  // regions that are themselves parallel.
+  // Tasks count as a parallel region, so a ParallelChunks issued from one
+  // runs inline. Save and restore rather than set/clear: helping threads run
+  // tasks from inside regions that are themselves parallel.
   const bool saved_region = t_in_parallel_region;
   t_in_parallel_region = true;
   {
@@ -204,6 +193,16 @@ void ThreadPool::TaskGroup::Wait() {
   pool_->mu_.Unlock();
 }
 
+// The oldest live job with unclaimed chunks, or nullptr. Younger regions are
+// not starved: each one's caller always works on its own job.
+ThreadPool::ParallelJob* ThreadPool::PickJob() {
+  for (ParallelJob* job : jobs_) {
+    // Relaxed: a hint; a stale cursor only sends a worker into a drained job.
+    if (job->next.load(std::memory_order_relaxed) < job->end) return job;
+  }
+  return nullptr;
+}
+
 void ThreadPool::RunJobSlice(ParallelJob* job, int slot) {
   const int64_t grain = job->grain;
   t_in_parallel_region = true;
@@ -215,7 +214,7 @@ void ThreadPool::RunJobSlice(ParallelJob* job, int slot) {
     obs::StatsScope stats_scope(job->stats);
     while (true) {
       // Relaxed: next is a pure claim ticket — no data is published through
-      // it; the job payload was made visible by the mu_ job hand-off.
+      // it; the job payload was made visible by the mu_ job registration.
       int64_t start = job->next.fetch_add(grain, std::memory_order_relaxed);
       if (start >= job->end) break;
       int64_t stop = std::min(start + grain, job->end);
@@ -236,7 +235,7 @@ void ThreadPool::ParallelChunks(
   LH_CHECK_GT(grain, 0);
   const int64_t total = end - begin;
   // Small jobs run inline (dispatch overhead would dominate); so do nested
-  // parallel regions, which would otherwise deadlock on the single job slot.
+  // parallel regions, whose thread already holds a slot in an outer job.
   if (total <= grain || workers_.empty() || t_in_parallel_region) {
     fn(num_threads(), begin, end);
     if (obs::ExecStats* stats = obs::ActiveStats()) {
@@ -244,7 +243,6 @@ void ThreadPool::ParallelChunks(
     }
     return;
   }
-  MutexLock submit_lock(&submit_mu_);
   ParallelJob job;
   // Relaxed: the job is not yet visible to any worker; publication happens
   // via the mu_ critical section below.
@@ -256,22 +254,24 @@ void ThreadPool::ParallelChunks(
 
   {
     MutexLock lock(&mu_);
-    LH_CHECK(current_job_ == nullptr);
-    current_job_ = &job;
-    ++job_epoch_;
+    jobs_.push_back(&job);
+    ++jobs_started_;
   }
   wake_cv_.NotifyAll();
 
-  // The calling thread participates with slot id == num_threads().
+  // The caller always works on its own job, so a region never waits for
+  // another query's region; its slot num_threads() is no worker's.
   RunJobSlice(&job, num_threads());
 
-  {
-    MutexLock lock(&mu_);
-    while (job.active_workers.load(std::memory_order_acquire) != 0) {
-      done_cv_.Wait(&mu_);
-    }
-    current_job_ = nullptr;
-  }
+  // No worker joins a drained job; wait out those still inside it.
+  MutexLock lock(&mu_);
+  while (job.active_workers != 0) done_cv_.Wait(&mu_);
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+}
+
+ThreadPool::JobCounts ThreadPool::job_counts() {
+  MutexLock lock(&mu_);
+  return {static_cast<int>(jobs_.size()), jobs_started_};
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,

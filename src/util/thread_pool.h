@@ -37,8 +37,8 @@ inline int64_t AdaptiveGrain(int64_t total, int64_t min_grain = 1) {
 
 /// A fixed-size worker pool with a blocking ParallelFor.
 ///
-/// Thread-safe for concurrent Submit calls; ParallelFor is typically driven
-/// from one coordinating thread at a time.
+/// Thread-safe for concurrent Submit and ParallelFor/ParallelChunks calls;
+/// concurrent parallel regions run side by side, each as its own job.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (defaults to the hardware
@@ -61,9 +61,9 @@ class ThreadPool {
 
   /// Runs `fn(thread_slot, index)` for every index in [begin, end).
   /// Indices are distributed dynamically in chunks of `grain`.
-  /// `thread_slot` is in [0, num_threads()+1) and is stable within one
-  /// chunk, letting callers keep per-slot scratch state. The calling thread
-  /// participates (slot num_threads()). Blocks until all indices are done.
+  /// `thread_slot` is in [0, num_threads()+1) and no two running chunks of
+  /// one call share it, letting callers keep per-slot scratch state. The
+  /// caller participates (slot num_threads()). Blocks until all are done.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int, int64_t)>& fn);
 
@@ -118,6 +118,11 @@ class ThreadPool {
   /// old pool first. Test-only: must not race with in-flight queries.
   static void SetGlobalThreadsForTesting(int num_threads);
 
+  /// Parallel regions registered with the workers: live now, and since
+  /// construction. Small and nested regions run inline and count in neither.
+  struct JobCounts { int live = 0; uint64_t started = 0; };
+  JobCounts job_counts();
+
  private:
   struct Task {
     std::function<void()> fn;
@@ -138,27 +143,26 @@ class ThreadPool {
     int64_t end = 0;
     int64_t grain = 1;
     const std::function<void(int, int64_t, int64_t)>* fn = nullptr;
-    std::atomic<int> active_workers{0};
+    /// Workers in RunJobSlice (guarded by mu_); the job is listed until 0.
+    int active_workers = 0;
     /// Driving query's stats hook (see Task::stats).
     obs::ExecStats* stats = nullptr;
   };
 
   void RunJobSlice(ParallelJob* job, int slot);
+  ParallelJob* PickJob() LH_REQUIRES(mu_);
 
   /// Per-slot CPU pin targets (may be shorter than workers_; see the
   /// pinning constructor). Written once before workers spawn.
   std::vector<int> pin_cpus_;
   std::vector<std::thread> workers_;
-  /// Serializes concurrent ParallelChunks callers; held across the whole
-  /// parallel region (a phase lock, not a data guard — hence the waiver).
-  Mutex submit_mu_{LockRank::kPoolSubmit};  // lint: unguarded(phase lock: serializes ParallelChunks callers, guards no fields)
   Mutex mu_{LockRank::kPool};
   CondVar wake_cv_;  // workers: new tasks / new job / shutdown
-  CondVar done_cv_;  // coordinator: job's active_workers reached zero
+  CondVar done_cv_;  // callers: a job's active_workers reached zero
   CondVar task_cv_;  // signaled as group tasks finish
   std::deque<Task> tasks_ LH_GUARDED_BY(mu_);
-  ParallelJob* current_job_ LH_GUARDED_BY(mu_) = nullptr;
-  uint64_t job_epoch_ LH_GUARDED_BY(mu_) = 0;
+  std::vector<ParallelJob*> jobs_ LH_GUARDED_BY(mu_);  // oldest first
+  uint64_t jobs_started_ LH_GUARDED_BY(mu_) = 0;
   bool shutdown_ LH_GUARDED_BY(mu_) = false;
 };
 

@@ -8,13 +8,14 @@
 // ActiveStats() hook and its propagation into pool workers, the Trace span
 // collector, the sharded TrieCache (logical hit/miss accounting,
 // single-flight build dedup, budget eviction), and whole-Engine concurrent
-// Query/QueryAnalyze callers. Sizes are small (the point is interleavings,
-// not throughput) so the suite stays inside the tier-1 budget even under
-// TSan.
+// Query/QueryAnalyze callers, also across pool widths. Sizes are small (the
+// point is interleavings, not throughput) so the suite stays inside the
+// tier-1 budget even under TSan.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <memory>
 #include <set>
@@ -33,14 +34,14 @@
 #include "storage/table.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/tpch_gen.h"
 
 namespace levelheaded {
 namespace {
 
 TEST(ThreadPoolStressTest, ConcurrentParallelChunksDrivers) {
-  // Several caller threads drive the *same* global pool at once;
-  // submit_mu_ must serialize the jobs without losing or double-running
-  // indices.
+  // Several caller threads drive the *same* global pool at once; their
+  // jobs run side by side and must not lose or double-run indices.
   constexpr int kCallers = 4;
   constexpr int64_t kN = 2000;
   std::vector<std::atomic<int64_t>> sums(kCallers);
@@ -534,13 +535,14 @@ TEST(TrieCacheStressTest, ClearHammerVsGetOrBuildStaysLive) {
 
 // --- Whole-engine concurrency ---------------------------------------------
 
-/// Mixed-workload fixture: a small graph plus a customer/nation star, one
-/// Engine shared by all test threads (the thread-safety contract under
-/// test; see DESIGN.md §11).
+/// Mixed-workload fixture: a small graph plus the TPC-H tables at a tiny
+/// scale factor, one Engine shared by all test threads (the thread-safety
+/// contract under test; see DESIGN.md §11).
 class EngineConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(20260807);
+    ASSERT_TRUE(TpchGenerator(/*scale_factor=*/0.002).Populate(&catalog_).ok());
     {
       Table* t = catalog_
                      .CreateTable(TableSchema(
@@ -558,45 +560,28 @@ class EngineConcurrencyTest : public ::testing::Test {
                                   Value::Real(rng.UniformDouble(0, 2))})
                         .ok());
       }
-    }
-    {
-      Table* t = catalog_
-                     .CreateTable(TableSchema(
-                         "nation",
-                         {ColumnSpec::Key("n_nationkey", ValueType::kInt64,
-                                          "nationkey"),
-                          ColumnSpec::Annotation("n_name",
-                                                 ValueType::kString)}))
-                     .ValueOrDie();
-      const char* names[] = {"ALGERIA", "BRAZIL", "CHINA", "DENMARK"};
-      for (int n = 0; n < 4; ++n) {
-        ASSERT_TRUE(t->AppendRow({Value::Int(n), Value::Str(names[n])}).ok());
+      // A hub (node 100) on 300 triangles, so the weighted triangle has a
+      // parallel root loop; magnitude-varying weights make a reordered fold
+      // show up in the result's bits.
+      auto add = [&](int a, int b, double w) {
+        return t->AppendRow({Value::Int(a), Value::Int(b), Value::Real(w)});
+      };
+      for (int i = 1; i <= 300; ++i) {
+        ASSERT_TRUE(
+            add(100, 100 + i, rng.UniformDouble(0, 1) * (1 + (i % 13) * 1e3))
+                .ok());
+        ASSERT_TRUE(add(100 + i, 500 + i % 31, rng.UniformDouble(-1, 1)).ok());
       }
-    }
-    {
-      Table* t = catalog_
-                     .CreateTable(TableSchema(
-                         "customer",
-                         {ColumnSpec::Key("c_custkey", ValueType::kInt64,
-                                          "custkey"),
-                          ColumnSpec::Key("c_nationkey", ValueType::kInt64,
-                                          "nationkey"),
-                          ColumnSpec::Annotation("c_acctbal",
-                                                 ValueType::kDouble),
-                          ColumnSpec::Annotation("c_mktsegment",
-                                                 ValueType::kString)}))
-                     .ValueOrDie();
-      const char* segs[] = {"BUILDING", "MACHINERY", "AUTOMOBILE"};
-      for (int c = 0; c < 24; ++c) {
-        ASSERT_TRUE(t->AppendRow({Value::Int(c),
-                                  Value::Int(static_cast<int>(rng.Uniform(4))),
-                                  Value::Real(rng.UniformDouble(-100, 1000)),
-                                  Value::Str(segs[rng.Uniform(3)])})
-                        .ok());
+      for (int j = 0; j < 31; ++j) {
+        ASSERT_TRUE(add(500 + j, 100, rng.UniformDouble(0, 2)).ok());
       }
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
     engine_ = std::make_unique<Engine>(&catalog_);
+  }
+
+  void TearDown() override {
+    ThreadPool::SetGlobalThreadsForTesting(0);  // back to the default
   }
 
   static std::vector<std::string> MixedQueries() {
@@ -610,9 +595,24 @@ class EngineConcurrencyTest : public ::testing::Test {
     };
   }
 
+  /// Sorted rows with doubles as exact hex floats, so even a last-ulp
+  /// difference from a reordered floating-point fold shows.
   static std::string Canonical(QueryResult result) {
     result.SortRows();
-    return result.ToString(1u << 20);
+    std::string out;
+    for (const ResultColumn& c : result.columns) {
+      out += c.name + ":";
+      for (int64_t v : c.ints) out += " " + std::to_string(v);
+      for (double v : c.reals) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), " %a", v);
+        out += buf;
+      }
+      for (const std::string& v : c.strs) out += " " + v;
+      for (uint32_t v : c.codes) out += " " + std::to_string(v);
+      out += "\n";
+    }
+    return out;
   }
 
   /// The counters whose values are a function of the query alone (not of
@@ -711,6 +711,56 @@ TEST_F(EngineConcurrencyTest, EightCallersMatchSerialBitForBit) {
         EXPECT_EQ(have[k].second, want[k].second)
             << "thread " << t << " query " << idx << " counter "
             << want[k].first;
+      }
+    }
+  }
+}
+
+TEST_F(EngineConcurrencyTest, FourCallersAtEveryPoolWidthMatchOneThreadSerial) {
+  // Four callers' parallel regions run side by side on one pool (DESIGN.md
+  // §10). At pool widths {1, 2, 8} every result must be bit-identical to
+  // one caller on a 1-thread pool, cold cache and warm.
+  const std::vector<std::string> queries = {
+      TpchQuery("q1"), TpchQuery("q5"), TpchQuery("q6"),
+      "SELECT sum(e1.w * e2.w * e3.w) FROM edge e1, edge e2, edge e3 "
+      "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src"};
+  const size_t kQ = queries.size();
+  ThreadPool::SetGlobalThreadsForTesting(1);
+  std::vector<std::string> reference;
+  {
+    Engine serial(&catalog_);
+    for (const std::string& sql : queries) {
+      auto r = serial.Query(sql);
+      ASSERT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+      reference.push_back(Canonical(std::move(r.value())));
+    }
+  }
+
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 2;  // round 0 builds the tries, round 1 hits
+  for (int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog_);
+    std::vector<std::vector<std::string>> got(kCallers);
+    std::latch start(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        start.arrive_and_wait();
+        for (size_t n = 0; n < kRounds * kQ; ++n) {
+          auto r = engine.Query(queries[(n + c) % kQ]);
+          got[c].push_back(r.ok() ? Canonical(std::move(r.value()))
+                                  : r.status().ToString());
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (int c = 0; c < kCallers; ++c) {
+      for (size_t n = 0; n < got[c].size(); ++n) {
+        EXPECT_EQ(got[c][n], reference[(n + c) % kQ])
+            << queries[(n + c) % kQ] << " @ caller " << c << " x "
+            << threads << " threads";
       }
     }
   }

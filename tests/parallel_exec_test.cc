@@ -463,7 +463,7 @@ TEST(NestedParallelismStressTest, TasksCanSubmitSubTasks) {
 }
 
 // A ParallelChunks call made from inside a task must run inline (nested
-// region) rather than deadlocking on the single job slot.
+// region) rather than registering a job of its own from a pool thread.
 TEST(NestedParallelismStressTest, ParallelChunksInsideTaskRunsInline) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};

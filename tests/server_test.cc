@@ -541,6 +541,12 @@ TEST_F(ServerTest, MetricsRequestRendersPrometheusText) {
   EXPECT_NE(text.find("lh_server_requests_total{outcome=\"ok\"}"),
             std::string::npos);
   EXPECT_NE(text.find("lh_trie_cache_bytes"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE lh_pool_jobs_started_total counter"),
+            std::string::npos);
+  // The only query has returned, so no parallel region is live.
+  EXPECT_NE(text.find("# TYPE lh_pool_live_jobs gauge\n"
+                      "lh_pool_live_jobs 0\n"),
+            std::string::npos);
   CheckPrometheusExposition(text);
   server.Stop();
 }
