@@ -12,6 +12,11 @@
 
 namespace levelheaded {
 
+namespace {
+
+/// EXPLAIN [ANALYZE] prefix detection on the token stream (so casing and
+/// whitespace are free). Returns 0 (no prefix), 1 (EXPLAIN), or 2
+/// (EXPLAIN ANALYZE), with `rest` set to the statement after the prefix.
 int StripExplainPrefix(const std::string& sql, std::string* rest) {
   Result<std::vector<Token>> tokens = Tokenize(sql);
   if (!tokens.ok()) return 0;  // let the parser report the error
@@ -28,8 +33,6 @@ int StripExplainPrefix(const std::string& sql, std::string* rest) {
   *rest = sql.substr(t[1].position);
   return 1;
 }
-
-namespace {
 
 /// Wraps multi-line text as a one-column string result (the psql-style
 /// "QUERY PLAN" surface).

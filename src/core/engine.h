@@ -29,17 +29,6 @@
 
 namespace levelheaded {
 
-namespace shard {
-class ShardedEngine;
-}  // namespace shard
-
-/// EXPLAIN [ANALYZE] prefix detection on the token stream (so casing and
-/// whitespace are free). Returns 0 (no prefix), 1 (EXPLAIN), or 2
-/// (EXPLAIN ANALYZE), with `rest` set to the statement after the prefix.
-/// Shared with the sharded router so it routes prefixed statements the
-/// same way the engine does.
-int StripExplainPrefix(const std::string& sql, std::string* rest);
-
 /// Engine-lifetime configuration (per-query knobs live in QueryOptions).
 struct EngineOptions {
   /// Trie-cache memory budget in bytes; 0 = unbounded. When set, least-
@@ -114,12 +103,6 @@ class Engine : public QueryBackend {
   obs::SlowQueryLog* slow_query_log() override { return &slow_query_log_; }
 
  private:
-  /// The sharded router (src/shard) reuses the engine's Prepare/guard
-  /// machinery and folds its scattered queries into the same slow-query
-  /// log and lifetime stats, so sharded serving reports through one set
-  /// of engine-owned surfaces.
-  friend class shard::ShardedEngine;
-
   [[nodiscard]] Result<QueryResult> RunQuery(const std::string& sql,
                                const QueryOptions& options);
   [[nodiscard]] Result<QueryResult> RunQueryImpl(const std::string& sql,

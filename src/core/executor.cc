@@ -783,14 +783,13 @@ class NodeExec {
 
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
-  // FoldChunks). ExecuteJoin drives the chunks through the global pool;
-  // the sharded router (ChunkedPlanExec) drives the same chunks from its
-  // lane pools. Grain and skew threshold are functions of cardinalities
-  // only — chunk and sub-task boundaries are merge boundaries for
-  // floating-point partials, so they must not move with the thread count
-  // or the scatter topology (results stay bit-identical under any
-  // LH_THREADS and any shard count). Scheduling only changes which worker
-  // executes a given chunk or task.
+  // FoldChunks). ExecuteJoin drives the chunks through the global pool.
+  // Grain and skew threshold are functions of cardinalities only — chunk
+  // and sub-task boundaries are merge boundaries for floating-point
+  // partials, so they must not move with the thread count (results stay
+  // bit-identical under any LH_THREADS and any number of concurrent
+  // queries). Scheduling only changes which worker executes a given chunk
+  // or task.
 
   /// Computes the root set and the chunk layout on the calling thread.
   /// After this, num_chunks() chunks (possibly zero) are runnable.
@@ -1845,14 +1844,11 @@ class NodeExec {
 /// Phase-split scan execution: Init runs the fallible setup, RunChunk
 /// consumes one adaptive-grain row range (thread-safe for distinct chunks),
 /// and Gather folds the per-chunk partials in chunk order and materializes.
-/// ExecuteScan drives the chunks through the global pool; the sharded
-/// router (ChunkedPlanExec) drives the same chunks from its lane pools —
-/// identical boundaries and fold order keep results bit-identical either
-/// way. Per-chunk partials merged in chunk order (not per-slot): which
-/// thread runs a chunk is scheduling noise, so per-slot accumulators would
-/// merge floating-point sums in a different order every run. Chunk
-/// boundaries come from cardinality alone, making results thread-count and
-/// shard-count independent.
+/// ExecuteScan drives the chunks through the global pool. Per-chunk
+/// partials merged in chunk order (not per-slot): which thread runs a chunk
+/// is scheduling noise, so per-slot accumulators would merge floating-point
+/// sums in a different order every run. Chunk boundaries come from
+/// cardinality alone, making results thread-count independent.
 struct ScanState {
   ScanState(const PhysicalPlan& p, const Catalog& c, QueryResult::Timing* tm,
             obs::QueryObs* qo, const QueryGuard* g)
@@ -1997,8 +1993,8 @@ struct ScanState {
                                    : groups.FindOrCreate(key.data());
       groups.Apply(acc, main.data(), aux.data());
     }
-    // Relaxed: plain accumulation; the chunk-run join (ParallelChunks or
-    // the router's TaskGroup waits) orders the total before Gather reads.
+    // Relaxed: plain accumulation; the ParallelChunks join orders the
+    // total before Gather reads.
     sink.fetch_add(local_sink, std::memory_order_relaxed);
   }
 
@@ -2237,10 +2233,7 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
 /// semijoin children, and computes the root node's chunk layout — all on
 /// the calling thread; RunChunk executes one root chunk (thread-safe for
 /// distinct chunks); Gather folds partials in chunk order and
-/// materializes. ExecuteJoin drives the chunks through the global pool;
-/// the sharded router (ChunkedPlanExec) drives the same chunks from its
-/// lane pools — identical boundaries and fold order keep results
-/// bit-identical either way.
+/// materializes. ExecuteJoin drives the chunks through the global pool.
 struct JoinState {
   JoinState(const PhysicalPlan& p, const Catalog& c, TrieCache* tc,
             QueryResult::Timing* tm, obs::QueryObs* qo, const QueryGuard* g)
@@ -2471,80 +2464,6 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
     ApplyOrderAndLimit(plan.query, &result.value());
     timing->exec_ms += t.ElapsedMillis();
     result.value().timing = *timing;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedPlanExec: the scatter-gather surface over the phase-split states.
-// ---------------------------------------------------------------------------
-
-struct ChunkedPlanExec::Impl {
-  Impl(const PhysicalPlan& p, QueryResult::Timing* tm, const QueryGuard* g)
-      : plan(p), timing(tm), guard(g) {}
-  const PhysicalPlan& plan;
-  QueryResult::Timing* timing;
-  const QueryGuard* guard;
-  std::unique_ptr<ScanState> scan;
-  std::unique_ptr<JoinState> join;
-  int64_t num_chunks = 0;
-};
-
-bool ChunkedPlanExec::Chunkable(const PhysicalPlan& plan) {
-  return !plan.query.always_empty && plan.dense == DenseKernel::kNone;
-}
-
-ChunkedPlanExec::ChunkedPlanExec() = default;
-ChunkedPlanExec::~ChunkedPlanExec() = default;
-
-Result<std::unique_ptr<ChunkedPlanExec>> ChunkedPlanExec::Prepare(
-    const PhysicalPlan& plan, const Catalog& catalog, TrieCache* cache,
-    QueryResult::Timing* timing, obs::QueryObs* qobs,
-    const QueryGuard* guard) {
-  LH_CHECK(Chunkable(plan)) << "non-chunkable plan routed to ChunkedPlanExec";
-  if (!plan.options.use_trie_cache) cache = nullptr;
-  // Private ctor keeps construction behind Prepare.
-  std::unique_ptr<ChunkedPlanExec> exec(
-      new ChunkedPlanExec());  // lint: allow(naked-new)
-  exec->impl_ = std::make_unique<Impl>(plan, timing, guard);
-  if (plan.scan_only) {
-    exec->impl_->scan =
-        std::make_unique<ScanState>(plan, catalog, timing, qobs, guard);
-    LH_RETURN_NOT_OK(exec->impl_->scan->Init());
-    exec->impl_->num_chunks = exec->impl_->scan->num_chunks;
-  } else {
-    exec->impl_->join = std::make_unique<JoinState>(plan, catalog, cache,
-                                                    timing, qobs, guard);
-    LH_RETURN_NOT_OK(exec->impl_->join->Prepare());
-    exec->impl_->num_chunks = exec->impl_->join->root->num_chunks();
-  }
-  return exec;
-}
-
-int64_t ChunkedPlanExec::num_chunks() const { return impl_->num_chunks; }
-
-void ChunkedPlanExec::RunChunk(int64_t chunk, ThreadPool& pool) {
-  if (impl_->scan != nullptr) {
-    impl_->scan->RunChunk(chunk);
-  } else {
-    impl_->join->RunChunk(chunk, pool);
-  }
-}
-
-Result<QueryResult> ChunkedPlanExec::Gather() {
-  Result<QueryResult> result = impl_->scan != nullptr
-                                   ? impl_->scan->Gather()
-                                   : impl_->join->Gather();
-  if (result.ok()) {
-    // The same tail ExecutePlan applies: the authoritative row bound on the
-    // materialized count, then ORDER BY / LIMIT.
-    if (impl_->guard != nullptr) {
-      LH_RETURN_NOT_OK(impl_->guard->CheckRows(result.value().num_rows));
-    }
-    WallTimer t;
-    ApplyOrderAndLimit(impl_->plan.query, &result.value());
-    impl_->timing->exec_ms += t.ElapsedMillis();
-    result.value().timing = *impl_->timing;
   }
   return result;
 }

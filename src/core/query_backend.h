@@ -1,8 +1,7 @@
-// The query-serving surface shared by the single Engine and the sharded
-// scatter-gather engine (src/shard). The server, the metrics composers,
-// and lh_serve program against this interface, so a process can swap a
-// one-engine deployment for an N-lane sharded one without touching the
-// serving layer.
+// The query-serving surface: SQL in, columnar results out. The server and
+// the metrics composers program against this interface rather than against
+// Engine, so a harness can wrap the engine (e.g. a tracing backend) without
+// touching the serving layer.
 
 #ifndef LEVELHEADED_CORE_QUERY_BACKEND_H_
 #define LEVELHEADED_CORE_QUERY_BACKEND_H_
@@ -43,19 +42,6 @@ struct ExplainInfo {
   std::vector<Candidate> root_candidates;
 };
 
-/// One engine lane of a sharded backend, with its always-on dispatch
-/// tallies — the per-lane rows on the Prometheus surface
-/// (lh_shard_lane_*). A plain Engine reports no lanes.
-struct ShardLaneInfo {
-  int lane = 0;
-  /// Worker threads in the lane's pool.
-  int threads = 0;
-  /// Scattered queries this lane participated in.
-  uint64_t queries = 0;
-  /// Plan chunks dispatched to this lane.
-  uint64_t chunks = 0;
-};
-
 /// Abstract SQL-in / columnar-results-out backend. Implementations must be
 /// thread-safe for concurrent calls (the server's workers share one
 /// backend).
@@ -85,11 +71,6 @@ class QueryBackend {
 
   /// The backend's shared trie cache (never null).
   virtual TrieCache* trie_cache() = 0;
-
-  /// Per-lane dispatch tallies; empty for unsharded backends.
-  [[nodiscard]] virtual std::vector<ShardLaneInfo> ShardLanes() const {
-    return {};
-  }
 };
 
 }  // namespace levelheaded

@@ -29,7 +29,7 @@ std::vector<std::pair<std::string, double>> CacheExport(TrieCache* cache) {
 bool IsGaugeCounter(const std::string& dotted) {
   // The gauges among the StatsSnapshot items; everything else is a
   // monotone total.
-  return dotted == "engine.cache.bytes" || dotted == "engine.shard.lanes";
+  return dotted == "engine.cache.bytes";
 }
 
 }  // namespace
@@ -150,19 +150,6 @@ std::string RenderPrometheusMetrics(const obs::ServerStats& stats,
     }
   }
 
-  // Per-lane dispatch tallies of a sharded backend (src/shard); always
-  // live, labelled by lane index. Empty for a plain Engine.
-  for (const ShardLaneInfo& lane : backend->ShardLanes()) {
-    const std::string label = std::to_string(lane.lane);
-    w.Counter("lh_shard_lane_queries_total",
-              "Scattered queries this lane participated in.",
-              static_cast<double>(lane.queries), {{"lane", label}});
-    w.Counter("lh_shard_lane_chunks_total",
-              "Plan chunks dispatched to this lane.",
-              static_cast<double>(lane.chunks), {{"lane", label}});
-    w.Gauge("lh_shard_lane_threads", "Worker threads in this lane's pool.",
-            static_cast<double>(lane.threads), {{"lane", label}});
-  }
   return w.str();
 }
 

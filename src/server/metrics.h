@@ -19,7 +19,7 @@ namespace levelheaded::server {
 
 /// The {"stats": true} payload: server.* counters, cache.* trie-cache
 /// tallies (always live, no profiling needed), and the engine's lifetime
-/// intersect.*/trie.*/exec.*/pool.*/expr.*/shard.* totals (accumulated
+/// intersect.*/trie.*/exec.*/pool.*/expr.* totals (accumulated
 /// from profiled queries). Keys are unique: the trie cache is
 /// authoritative for cache.*, so the profile-attributed duplicates are
 /// skipped.
@@ -27,8 +27,7 @@ namespace levelheaded::server {
     const obs::ServerStats& stats, QueryBackend* backend);
 
 /// Everything above plus the latency histograms (global, per request
-/// class, per outcome) as Prometheus text exposition format 0.0.4, and —
-/// for sharded backends — per-lane lh_shard_lane_* rows labelled by lane.
+/// class, per outcome) as Prometheus text exposition format 0.0.4.
 [[nodiscard]] std::string RenderPrometheusMetrics(
     const obs::ServerStats& stats, QueryBackend* backend);
 

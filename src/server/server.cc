@@ -24,6 +24,16 @@ Status Server::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server already started");
   }
+  if (options_.num_workers < 1) {
+    return Status::InvalidArgument(
+        "num_workers must be at least 1, got " +
+        std::to_string(options_.num_workers));
+  }
+  if (options_.metrics_port > 65535) {
+    return Status::InvalidArgument(
+        "metrics_port must be at most 65535, got " +
+        std::to_string(options_.metrics_port));
+  }
   LH_ASSIGN_OR_RETURN(listener_, ListenTcp(options_.port));
   LH_ASSIGN_OR_RETURN(port_, BoundPort(listener_));
   if (options_.metrics_port >= 0) {

@@ -1,7 +1,6 @@
 // The LevelHeaded network serving layer (DESIGN.md §12): a multi-threaded
 // TCP server speaking newline-delimited JSON (server/protocol.h) over one
-// shared, thread-safe QueryBackend — a single Engine or a sharded
-// scatter-gather ShardedEngine (src/shard); the server is agnostic.
+// shared, thread-safe QueryBackend (an Engine, or a wrapper around one).
 //
 //   Engine engine(&catalog, {.max_result_rows = ...});
 //   Server server(&engine, {.port = 0, .num_workers = 4});
@@ -46,8 +45,8 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back with
   /// Server::port() — how tests and the loadgen run hermetically).
   uint16_t port = 0;
-  /// Worker threads, each serving one connection at a time. 0 is a test
-  /// mode: connections queue (or are rejected) but nothing serves them.
+  /// Worker threads, each serving one connection at a time (at least 1;
+  /// Start() rejects fewer).
   int num_workers = 4;
   /// Admission-queue bound; see request_queue.h.
   size_t queue_capacity = 16;
@@ -63,7 +62,8 @@ struct ServerOptions {
   /// snappy, large enough to keep idle ticks cheap.
   int poll_interval_ms = 50;
   /// Prometheus scrape endpoint port on 127.0.0.1: -1 = disabled, 0 =
-  /// ephemeral (read back with Server::metrics_port()).
+  /// ephemeral (read back with Server::metrics_port()); Start() rejects
+  /// values above 65535.
   int metrics_port = -1;
   /// Run every request with stats collection so the engine's lifetime
   /// exec.*/pool.* metrics and the slow-query log see cache hits and span
@@ -85,7 +85,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the accept loop + workers.
+  /// Binds, listens, and spawns the accept loop + workers. InvalidArgument
+  /// when num_workers < 1 or metrics_port > 65535.
   [[nodiscard]] Status Start();
 
   /// Graceful shutdown; idempotent, also run by the destructor.

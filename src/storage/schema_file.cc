@@ -93,7 +93,7 @@ Result<SchemaFileSpec> ParseSchemaFile(const std::string& path) {
 
 Status DeclareSchemaTables(const SchemaFileSpec& spec, Catalog* catalog) {
   for (const SchemaFileSpec::TableDecl& decl : spec.tables) {
-    // Re-declarations are skipped so each partition file of a sharded
+    // Re-declarations are skipped so each partition file of a partitioned
     // data set can carry the full shared schema.
     if (catalog->GetTable(decl.name) != nullptr) continue;
     LH_RETURN_NOT_OK(

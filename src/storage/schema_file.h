@@ -26,12 +26,11 @@ namespace levelheaded {
 [[nodiscard]] Result<ColumnSpec> ParseColumnSpec(const std::string& token);
 
 /// A parsed schema file: table declarations and data-load directives,
-/// separated so they can be applied independently. Sharded serving
-/// (lh_serve with several schema files, one per data partition) declares
-/// the shared tables once and then runs every partition's loads into the
-/// SAME catalog — key columns encode through the catalog's shared domain
-/// dictionaries, so N partitions build one dictionary set, never N
-/// duplicated ones.
+/// separated so they can be applied independently. lh_serve with several
+/// schema files (e.g. one per data partition) declares each file's tables
+/// and runs its loads into the SAME catalog — key columns encode through
+/// the catalog's shared domain dictionaries, so N partitions build one
+/// dictionary set, never N duplicated ones.
 struct SchemaFileSpec {
   struct TableDecl {
     std::string name;

@@ -42,9 +42,14 @@ class Writer {
   std::ofstream* out_;
 };
 
+/// Reads the fields Writer wrote. Every length field is checked against
+/// the bytes left in the file before anything is allocated: a corrupt
+/// length fails the stream (ok() turns false) instead of requesting a
+/// huge allocation.
 class Reader {
  public:
-  explicit Reader(std::ifstream* in) : in_(in) {}
+  Reader(std::ifstream* in, uint64_t file_size)
+      : in_(in), file_size_(file_size) {}
 
   bool ok() const { return in_->good(); }
 
@@ -65,6 +70,7 @@ class Reader {
   }
   std::string Str() {
     const uint32_t n = U32();
+    if (!Fits(n, 1)) return {};
     std::string s(n, '\0');
     in_->read(s.data(), n);
     return s;
@@ -73,6 +79,7 @@ class Reader {
   std::vector<T> Vec() {
     static_assert(std::is_trivially_copyable_v<T>);
     const uint64_t n = U64();
+    if (!Fits(n, sizeof(T))) return {};
     std::vector<T> v(n);
     in_->read(reinterpret_cast<char*>(v.data()),
               static_cast<std::streamsize>(n * sizeof(T)));
@@ -80,13 +87,27 @@ class Reader {
   }
   std::vector<std::string> StrVec() {
     const uint64_t n = U64();
+    // Each string carries at least its 4-byte length.
+    if (!Fits(n, sizeof(uint32_t))) return {};
     std::vector<std::string> v(n);
-    for (uint64_t i = 0; i < n; ++i) v[i] = Str();
+    for (uint64_t i = 0; i < n && ok(); ++i) v[i] = Str();
     return v;
   }
 
  private:
+  /// Whether `n` items of `item_bytes` each fit in the bytes left; fails
+  /// the stream when they do not.
+  bool Fits(uint64_t n, uint64_t item_bytes) {
+    if (!ok()) return false;
+    const uint64_t pos = static_cast<uint64_t>(in_->tellg());
+    const uint64_t left = pos <= file_size_ ? file_size_ - pos : 0;
+    if (n <= left / item_bytes) return true;
+    in_->setstate(std::ios::failbit);
+    return false;
+  }
+
   std::ifstream* in_;
+  uint64_t file_size_;
 };
 
 void WriteDictionary(Writer* w, const Dictionary& dict) {
@@ -174,22 +195,28 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& path) {
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(path + " is not a LevelHeaded snapshot");
   }
-  Reader r(&in);
+  in.seekg(0, std::ios::end);
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(sizeof(kMagic));
+  Reader r(&in, file_size);
   auto catalog = std::make_unique<Catalog>();
+  const Status corrupt =
+      Status::IoError("truncated or corrupt snapshot " + path);
 
   const uint32_t num_domains = r.U32();
-  for (uint32_t d = 0; d < num_domains; ++d) {
+  for (uint32_t d = 0; d < num_domains && r.ok(); ++d) {
     std::string name = r.Str();
     catalog->domain_names_.push_back(std::move(name));
     catalog->domains_.push_back(ReadDictionary(&r));
   }
+  if (!r.ok()) return corrupt;
 
   const uint32_t num_tables = r.U32();
   for (uint32_t t = 0; t < num_tables; ++t) {
     std::string name = r.Str();
     const uint32_t num_cols = r.U32();
     std::vector<ColumnSpec> specs;
-    for (uint32_t c = 0; c < num_cols; ++c) {
+    for (uint32_t c = 0; c < num_cols && r.ok(); ++c) {
       ColumnSpec spec;
       spec.name = r.Str();
       spec.type = static_cast<ValueType>(r.U8());
@@ -197,11 +224,12 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& path) {
       spec.domain = r.Str();
       specs.push_back(std::move(spec));
     }
+    if (!r.ok()) return corrupt;
     LH_ASSIGN_OR_RETURN(
         Table * table,
         catalog->CreateTable(TableSchema(std::move(name), std::move(specs))));
     table->num_rows_ = r.U64();
-    for (uint32_t c = 0; c < num_cols; ++c) {
+    for (uint32_t c = 0; c < num_cols && r.ok(); ++c) {
       ColumnData& col = table->mutable_column(static_cast<int>(c));
       col.ints = r.Vec<int64_t>();
       col.reals = r.Vec<double>();
@@ -219,7 +247,7 @@ Result<std::unique_ptr<Catalog>> LoadCatalog(const std::string& path) {
         col.dict = table->owned_dicts_.back().get();
       }
     }
-    if (!r.ok()) return Status::IoError("truncated snapshot " + path);
+    if (!r.ok()) return corrupt;
   }
   catalog->finalized_ = true;
   return catalog;

@@ -18,8 +18,8 @@
 //
 // The rank table below is the single source of truth for the engine's
 // lock ordering; the same table is documented with its rationale in
-// DESIGN.md §14. Gaps between values leave room for future locks (sharded
-// engines, ingestion epochs) without renumbering.
+// DESIGN.md §14. Gaps between values leave room for future locks (e.g.
+// ingestion epochs) without renumbering.
 
 #ifndef LEVELHEADED_UTIL_LOCK_RANK_H_
 #define LEVELHEADED_UTIL_LOCK_RANK_H_

@@ -1,10 +1,5 @@
 #include "util/thread_pool.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
@@ -45,20 +40,6 @@ std::atomic<ThreadPool*>& GlobalPoolPtr() {
   return pool;
 }
 
-// Best-effort CPU pinning for shard lanes (src/shard). A failed pin (cpu
-// offline, cgroup-restricted affinity mask) is ignored: pinning is a
-// locality optimization, never a correctness requirement.
-void PinCurrentThread(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
 // Guards pool creation/replacement only; never on the query path.
 Mutex& GlobalPoolMutex() {
   static Mutex mu{LockRank::kGlobalPool};  // lint: allow(global-state) unguarded(guards the init/replace phase of GlobalPoolSlot, not a field)
@@ -66,10 +47,7 @@ Mutex& GlobalPoolMutex() {
 }
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads) : ThreadPool(num_threads, {}) {}
-
-ThreadPool::ThreadPool(int num_threads, std::vector<int> pin_cpus)
-    : pin_cpus_(std::move(pin_cpus)) {
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -90,9 +68,6 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop(int slot) {
   t_worker_slot = slot;
-  if (static_cast<size_t>(slot) < pin_cpus_.size()) {
-    PinCurrentThread(pin_cpus_[slot]);
-  }
   ParallelJob* job = nullptr;  // the job this worker last ran a slice of
   while (true) {
     Task task;

@@ -45,13 +45,6 @@ class ThreadPool {
   /// concurrency, at least 1).
   explicit ThreadPool(int num_threads = 0);
 
-  /// As above, additionally pinning worker `i` to CPU `pin_cpus[i]` (extra
-  /// workers beyond pin_cpus.size() stay unpinned). Pinning is best-effort
-  /// — an offline CPU or a restricted affinity mask is silently ignored —
-  /// and Linux-only; other platforms run unpinned. Shard lanes
-  /// (src/shard) use this to keep a lane's workers on one NUMA domain.
-  ThreadPool(int num_threads, std::vector<int> pin_cpus);
-
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -152,9 +145,6 @@ class ThreadPool {
   void RunJobSlice(ParallelJob* job, int slot);
   ParallelJob* PickJob() LH_REQUIRES(mu_);
 
-  /// Per-slot CPU pin targets (may be shorter than workers_; see the
-  /// pinning constructor). Written once before workers spawn.
-  std::vector<int> pin_cpus_;
   std::vector<std::thread> workers_;
   Mutex mu_{LockRank::kPool};
   CondVar wake_cv_;  // workers: new tasks / new job / shutdown

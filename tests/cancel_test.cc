@@ -15,6 +15,7 @@
 #include "core/cancel.h"
 #include "core/engine.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded {
 namespace {
@@ -131,6 +132,43 @@ TEST_F(CancelTest, CancelFromAnotherThreadUnblocksQuery) {
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   }
+}
+
+// Concurrent callers on one engine, each racing its own canceller: every
+// parallel region a cancelled query registered must leave the pool's
+// live-job list, and the engine must answer in full afterwards.
+TEST_F(CancelTest, ConcurrentCancelBurstLeavesNoLiveJobs) {
+  Engine engine(&catalog_);
+  const std::string heavy =
+      "SELECT sum(e1.w * e2.w * e3.w) FROM edge e1, edge e2, edge e3 "
+      "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src";
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 8;
+  std::vector<int> wrong_code(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        CancelToken token;
+        QueryOptions opts;
+        opts.cancel_token = &token;
+        std::thread canceller([&token] { token.Cancel(); });
+        auto result = engine.Query(heavy, opts);
+        canceller.join();
+        if (!result.ok() &&
+            result.status().code() != StatusCode::kCancelled) {
+          ++wrong_code[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(wrong_code[c], 0) << c;
+
+  EXPECT_EQ(ThreadPool::Global().job_counts().live, 0);
+  auto follow_up = engine.Query(heavy);
+  ASSERT_TRUE(follow_up.ok()) << follow_up.status().ToString();
+  EXPECT_EQ(follow_up.value().num_rows, 1u);
 }
 
 TEST_F(CancelTest, MaxResultRowsCapsScans) {

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cancel.h"
 #include "core/engine.h"
 #include "core/executor.h"
 #include "obs/profile.h"
@@ -798,6 +799,119 @@ TEST_F(EngineConcurrencyTest, ColdCacheConcurrentStartBuildsEachTrieOnce) {
   EXPECT_EQ(engine_->trie_cache()->builds() - builds_after_serial,
             builds_after_serial);
   EXPECT_EQ(engine_->trie_cache()->size(), static_cast<size_t>(2));
+}
+
+// --- The sharded router's contract, now on one engine -----------------------
+
+/// These two suites keep the names they had when they ran against the
+/// sharded router, which one engine on the multi-job pool replaced (DESIGN.md
+/// §10, "One engine, no lanes"). They hold a plain Engine to the router's
+/// contract: the six differential queries bit-identical to a 1-thread serial
+/// reference at every pool width and under concurrent callers, and aborted
+/// queries leaving no pool job behind.
+class ShardDifferentialTest : public EngineConcurrencyTest {
+ protected:
+  static std::vector<std::string> Queries() {
+    return {
+        TpchQuery("q1"),
+        TpchQuery("q5"),
+        TpchQuery("q6"),
+        "SELECT count(*) FROM edge e1, edge e2, edge e3 "
+        "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
+        "SELECT sum(e1.w * e2.w * e3.w) FROM edge e1, edge e2, edge e3 "
+        "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e1.src",
+        "SELECT e1.src, sum(e1.w * e2.w) FROM edge e1, edge e2 "
+        "WHERE e1.dst = e2.src GROUP BY e1.src",
+    };
+  }
+
+  /// Canonical results of Queries() from a fresh engine on a 1-thread pool;
+  /// leaves the pool at its default width.
+  std::vector<std::string> SerialReference() {
+    ThreadPool::SetGlobalThreadsForTesting(1);
+    std::vector<std::string> reference;
+    Engine serial(&catalog_);
+    for (const std::string& sql : Queries()) {
+      auto r = serial.Query(sql);
+      EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+      reference.push_back(r.ok() ? Canonical(std::move(r.value()))
+                                 : r.status().ToString());
+    }
+    ThreadPool::SetGlobalThreadsForTesting(0);
+    return reference;
+  }
+};
+
+class ShardCancelTest : public ShardDifferentialTest {};
+
+TEST_F(ShardDifferentialTest, BitIdenticalAcrossShardAndThreadCounts) {
+  // One engine is the only shard count left; the pool width still varies.
+  const std::vector<std::string> queries = Queries();
+  const std::vector<std::string> reference = SerialReference();
+  for (int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog_);  // fresh trie cache
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto r = engine.Query(queries[i]);
+      ASSERT_TRUE(r.ok()) << queries[i] << ": " << r.status().ToString();
+      EXPECT_EQ(Canonical(std::move(r.value())), reference[i])
+          << queries[i] << " @ " << threads << " threads";
+    }
+  }
+}
+
+TEST_F(ShardCancelTest, ExpiredDeadlineMidScatterLeavesNoStuckWorkers) {
+  ThreadPool::SetGlobalThreadsForTesting(2);
+  const std::string heavy = Queries()[4];  // triangle sum(w*w*w)
+
+  QueryOptions expired;
+  expired.timeout_ms = 1e-6;  // passed by the first guard poll
+  auto dead = engine_->Query(heavy, expired);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
+
+  CancelToken token;
+  token.Cancel();
+  QueryOptions cancelled;
+  cancelled.cancel_token = &token;
+  auto stopped = engine_->Query(heavy, cancelled);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+
+  // Both aborted regions left the pool, and the same engine answers in full.
+  EXPECT_EQ(ThreadPool::Global().job_counts().live, 0);
+  auto ok = engine_->Query(heavy);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().num_rows, 1u);
+}
+
+TEST_F(ShardCancelTest, ConcurrentQueriesInterleaveAcrossLanes) {
+  // A burst of clients on one engine at the default pool width: concurrent
+  // regions share the pool and the trie cache, and every answer must still
+  // match the serial reference bit for bit.
+  const std::vector<std::string> queries = Queries();
+  const std::vector<std::string> reference = SerialReference();
+  constexpr int kClients = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::string>> got(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto r = engine_->Query(queries[(c + round) % queries.size()]);
+        got[c].push_back(r.ok() ? Canonical(std::move(r.value()))
+                                : r.status().ToString());
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      const size_t qi = (c + round) % queries.size();
+      EXPECT_EQ(got[c][round], reference[qi])
+          << queries[qi] << " (client " << c << ")";
+    }
+  }
 }
 
 }  // namespace

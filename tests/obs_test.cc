@@ -112,21 +112,15 @@ TEST(ExecStatsTest, ItemsCoverEveryCounter) {
   stats.CountIntersect(IntersectKernel::kUintUint, 2);
   StatsSnapshot snap = stats.Snapshot();
   std::vector<std::pair<std::string, uint64_t>> items = snap.Items();
-  EXPECT_EQ(items.size(), 29u);
+  EXPECT_EQ(items.size(), 25u);
   bool saw_uint_uint = false;
-  bool saw_shard_scatters = false;
   for (const auto& [name, value] : items) {
     if (name == "intersect.uint_uint") {
       saw_uint_uint = true;
       EXPECT_EQ(value, 1u);
     }
-    if (name == "shard.scatters") {
-      saw_shard_scatters = true;
-      EXPECT_EQ(value, 0u);
-    }
   }
   EXPECT_TRUE(saw_uint_uint);
-  EXPECT_TRUE(saw_shard_scatters);
 }
 
 TEST(ExecStatsTest, AtomicUnderThreadPool) {

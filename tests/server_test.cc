@@ -21,7 +21,6 @@
 #include "obs/json_writer.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 #include "util/socket.h"
 
@@ -198,22 +197,11 @@ class ServerTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
-    // With LH_SHARDS set (the CI release leg reruns tier-1 at LH_SHARDS=2)
-    // the whole suite serves through the scatter-gather backend instead of
-    // a plain engine — same wire behavior, bit-identical results.
-    const int shards = shard::ShardedEngine::ResolveNumShards(0);
-    if (shards > 1) {
-      shard::ShardedEngineOptions shard_options;
-      shard_options.num_shards = shards;
-      engine_ = std::make_unique<shard::ShardedEngine>(&catalog_,
-                                                       shard_options);
-    } else {
-      engine_ = std::make_unique<Engine>(&catalog_);
-    }
+    engine_ = std::make_unique<Engine>(&catalog_);
   }
 
   Catalog catalog_;
-  std::unique_ptr<QueryBackend> engine_;
+  std::unique_ptr<Engine> engine_;
 };
 
 TEST_F(ServerTest, StartStopIdempotent) {
@@ -281,13 +269,22 @@ TEST_F(ServerTest, ConcurrentClientsMatchDirectQuery) {
 
 TEST_F(ServerTest, OverloadRejectsWithQueueDetail) {
   ServerOptions options;
-  options.num_workers = 0;  // nothing drains the queue: deterministic fill
+  options.num_workers = 1;
   options.queue_capacity = 2;
   options.drain_timeout_ms = 100;
   Server server(engine_.get(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The first two connections are admitted (and never served); the third
+  // A worker serves one connection until it closes: after one round trip
+  // the only worker is held by `busy`, so nothing drains the queue and the
+  // fill is deterministic.
+  TestClient busy(server.port());
+  ASSERT_TRUE(busy.connected());
+  obs::JsonValue busy_resp;
+  ASSERT_TRUE(busy.RoundTrip(QueryLine(kTriangleSql), &busy_resp));
+  ASSERT_TRUE(IsOk(busy_resp));
+
+  // The next two connections are admitted (and never served); the third
   // must be rejected immediately with the queue depth in the detail.
   TestClient first(server.port(), /*recv_timeout_ms=*/10000);
   TestClient second(server.port(), /*recv_timeout_ms=*/10000);
@@ -319,6 +316,21 @@ TEST_F(ServerTest, OverloadRejectsWithQueueDetail) {
   ASSERT_TRUE(second.ReadResponse(&drain2));
   EXPECT_EQ(ErrorCode(drain1), "Cancelled");
   EXPECT_EQ(ErrorCode(drain2), "Cancelled");
+}
+
+TEST_F(ServerTest, StartRejectsNoWorkersAndOutOfRangeMetricsPort) {
+  ServerOptions no_workers;
+  no_workers.num_workers = 0;
+  Server idle(engine_.get(), no_workers);
+  const Status st = idle.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(idle.running());
+
+  ServerOptions bad_port;
+  bad_port.metrics_port = 65536;
+  Server unscrapable(engine_.get(), bad_port);
+  EXPECT_EQ(unscrapable.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(unscrapable.running());
 }
 
 TEST_F(ServerTest, TimeoutReturnsDeadlineExceededAndWorkerSurvives) {

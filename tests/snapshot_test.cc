@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -82,6 +83,41 @@ TEST(SnapshotTest, Errors) {
   fclose(f);
   EXPECT_FALSE(LoadCatalog(junk).ok());
   std::remove(junk.c_str());
+}
+
+TEST(SnapshotTest, CorruptLengthFieldIsAnErrorNotAnAbort) {
+  Catalog original;
+  Table* e = original
+                 .CreateTable(TableSchema(
+                     "edge",
+                     {ColumnSpec::Key("src", ValueType::kInt64, "node"),
+                      ColumnSpec::Key("dst", ValueType::kInt64, "node")}))
+                 .ValueOrDie();
+  ASSERT_TRUE(e->AppendRow({Value::Int(5), Value::Int(9)}).ok());
+  ASSERT_TRUE(original.Finalize().ok());
+  const std::string path = TempPath("corrupt.lhsnap");
+  ASSERT_TRUE(SaveCatalog(original, path).ok());
+
+  // Layout: magic (8) | domain count (u32) | name "node" (u32 length + 4
+  // bytes) | dictionary type (u8) | dictionary value count (u64). Claim
+  // 2^40 int64 values in a file of a few hundred bytes.
+  constexpr long kValueCountOffset = 8 + 4 + 4 + 4 + 1;
+  FILE* f = fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  uint64_t count = 0;
+  ASSERT_EQ(fseek(f, kValueCountOffset, SEEK_SET), 0);
+  ASSERT_EQ(fread(&count, sizeof(count), 1, f), 1u);
+  ASSERT_EQ(count, 2u);  // the offset points at the domain's value count
+  count = uint64_t{1} << 40;
+  ASSERT_EQ(fseek(f, kValueCountOffset, SEEK_SET), 0);
+  ASSERT_EQ(fwrite(&count, sizeof(count), 1, f), 1u);
+  fclose(f);
+
+  auto loaded = LoadCatalog(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
 }
 
 }  // namespace

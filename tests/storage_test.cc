@@ -212,8 +212,8 @@ TEST(CsvTest, SaveRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Schema files: the parse / declare / load split that sharded serving
-// builds on (lh_serve loads several per-partition files into one catalog).
+// Schema files: the parse / declare / load split lh_serve builds on (it
+// loads several per-partition files into one catalog).
 
 std::string WriteTempFile(const std::string& name,
                           const std::string& contents) {

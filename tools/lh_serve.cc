@@ -4,16 +4,19 @@
 //   lh_serve: listening on 127.0.0.1:8437 (4 workers, queue 16)
 //
 // Loads a catalog from one or more text schema files (see
-// storage/schema_file.h; several files — e.g. per-shard data partitions —
+// storage/schema_file.h; several files — e.g. one per data partition —
 // share one catalog and one dictionary set) or a .lhsnap snapshot, then
-// serves newline-delimited JSON queries until SIGINT/SIGTERM triggers a
-// graceful drain. Caps result sets at 4M rows by
+// serves newline-delimited JSON queries through one Engine until
+// SIGINT/SIGTERM triggers a graceful drain. Caps result sets at 4M rows by
 // default (--max-rows 0 lifts the cap) so one runaway SELECT cannot OOM a
 // shared server.
 //
-// Flags:
-//   --port N                TCP port on 127.0.0.1 (0 = ephemeral, printed)
-//   --workers N             worker threads (default 4)
+// Flags (numeric values are parsed strictly: non-numeric text, a negative
+// value, or an out-of-range one prints the usage and exits 2 before any
+// data is loaded):
+//   --port N                TCP port on 127.0.0.1 (0 = ephemeral, printed;
+//                           at most 65535)
+//   --workers N             worker threads (default 4; 1 to 1024)
 //   --queue N               admission queue capacity (default 16)
 //   --default-timeout-ms X  deadline for requests without timeout_ms
 //   --max-rows N            result-row cap (default 4000000, 0 = unlimited)
@@ -26,14 +29,14 @@
 //                           engine-lifetime exec.* metrics and slow-log
 //                           span/cache attribution; shaves the per-query
 //                           counter bookkeeping)
-//   --shards N              serve through N scatter-gather engine lanes
-//                           (src/shard; default 1 = plain engine; 0 reads
-//                           LH_SHARDS). Results are bit-identical at any
-//                           shard count.
 
+#include <charconv>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,7 +44,6 @@
 
 #include "core/engine.h"
 #include "server/server.h"
-#include "shard/sharded_engine.h"
 #include "storage/schema_file.h"
 #include "storage/snapshot.h"
 #include "util/signals.h"
@@ -50,6 +52,8 @@ namespace levelheaded {
 namespace {
 
 constexpr size_t kDefaultMaxResultRows = 4'000'000;
+constexpr uint64_t kMaxPort = 65535;
+constexpr uint64_t kMaxWorkers = 1024;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -58,9 +62,34 @@ int Usage(const char* argv0) {
                "       [--default-timeout-ms X] [--max-rows N] "
                "[--drain-ms X]\n"
                "       [--metrics-port N] [--slow-query-ms X] "
-               "[--no-request-stats] [--shards N]\n",
+               "[--no-request-stats]\n",
                argv0);
   return 2;
+}
+
+/// Parses all of `text` as a decimal integer in [min, max]: no sign, no
+/// trailing characters. False for a missing value (nullptr).
+bool ParseCount(const char* text, uint64_t min, uint64_t max,
+                uint64_t* out) {
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < min || v > max) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `text` as a finite, non-negative number of milliseconds.
+bool ParseMillis(const char* text, double* out) {
+  if (text == nullptr) return false;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 int Serve(int argc, char** argv) {
@@ -70,56 +99,46 @@ int Serve(int argc, char** argv) {
   server_options.collect_request_stats = true;
   size_t max_result_rows = kDefaultMaxResultRows;
   double slow_query_ms = 1000;
-  int num_shards = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    bool ok = true;
+    uint64_t n = 0;
     if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.port = static_cast<uint16_t>(std::atoi(v));
+      ok = ParseCount(next(), 0, kMaxPort, &n);
+      server_options.port = static_cast<uint16_t>(n);
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.num_workers = std::atoi(v);
+      ok = ParseCount(next(), 1, kMaxWorkers, &n);
+      server_options.num_workers = static_cast<int>(n);
     } else if (arg == "--queue") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.queue_capacity = static_cast<size_t>(std::atol(v));
+      ok = ParseCount(next(), 0, SIZE_MAX, &n);
+      server_options.queue_capacity = static_cast<size_t>(n);
     } else if (arg == "--default-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.default_timeout_ms = std::atof(v);
+      ok = ParseMillis(next(), &server_options.default_timeout_ms);
     } else if (arg == "--max-rows") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      max_result_rows = static_cast<size_t>(std::atol(v));
+      ok = ParseCount(next(), 0, SIZE_MAX, &n);
+      max_result_rows = static_cast<size_t>(n);
     } else if (arg == "--drain-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.drain_timeout_ms = std::atof(v);
+      ok = ParseMillis(next(), &server_options.drain_timeout_ms);
     } else if (arg == "--metrics-port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      server_options.metrics_port = std::atoi(v);
+      ok = ParseCount(next(), 0, kMaxPort, &n);
+      server_options.metrics_port = static_cast<int>(n);
     } else if (arg == "--slow-query-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      slow_query_ms = std::atof(v);
+      ok = ParseMillis(next(), &slow_query_ms);
     } else if (arg == "--no-request-stats") {
       server_options.collect_request_stats = false;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      num_shards = std::atoi(v);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv[0]);
     } else {
       data_paths.push_back(arg);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "missing or bad value for %s\n", arg.c_str());
+      return Usage(argv[0]);
     }
   }
 
@@ -137,10 +156,10 @@ int Serve(int argc, char** argv) {
     owned = loaded.TakeValue();
     catalog = owned.get();
   } else {
-    // Several schema files — e.g. one per data partition in a sharded
-    // deployment — parse independently but declare tables and load rows
-    // into ONE catalog: key columns encode through the shared domain
-    // dictionaries, so partitions never duplicate dictionary memory.
+    // Several schema files — e.g. one per data partition — parse
+    // independently but declare tables and load rows into ONE catalog: key
+    // columns encode through the shared domain dictionaries, so partitions
+    // never duplicate dictionary memory.
     for (const std::string& path : data_paths) {
       auto spec = ParseSchemaFile(path);
       if (!spec.ok()) {
@@ -167,19 +186,7 @@ int Serve(int argc, char** argv) {
   EngineOptions engine_options;
   engine_options.max_result_rows = max_result_rows;
   engine_options.slow_query_ms = slow_query_ms;
-  // One backend for the server: a plain engine, or — with --shards N > 1
-  // (or LH_SHARDS when N is 0) — the scatter-gather router over N engine
-  // lanes sharing this catalog's dictionaries.
-  num_shards = shard::ShardedEngine::ResolveNumShards(num_shards);
-  std::unique_ptr<QueryBackend> backend;
-  if (num_shards > 1) {
-    shard::ShardedEngineOptions shard_options;
-    shard_options.num_shards = num_shards;
-    shard_options.engine = engine_options;
-    backend = std::make_unique<shard::ShardedEngine>(catalog, shard_options);
-  } else {
-    backend = std::make_unique<Engine>(catalog, engine_options);
-  }
+  Engine engine(catalog, engine_options);
 
   Status st = InstallShutdownSignalHandlers();
   if (!st.ok()) {
@@ -187,17 +194,17 @@ int Serve(int argc, char** argv) {
     return 1;
   }
 
-  server::Server server(backend.get(), server_options);
+  server::Server server(&engine, server_options);
   st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "start error: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("lh_serve: listening on 127.0.0.1:%u (%d workers, queue %zu, "
-              "max %zu result rows, %d shard%s)\n",
+              "max %zu result rows)\n",
               static_cast<unsigned>(server.port()),
               server_options.num_workers, server_options.queue_capacity,
-              max_result_rows, num_shards, num_shards == 1 ? "" : "s");
+              max_result_rows);
   if (server_options.metrics_port >= 0) {
     std::printf("lh_serve: metrics on http://127.0.0.1:%u/metrics\n",
                 static_cast<unsigned>(server.metrics_port()));
@@ -212,7 +219,7 @@ int Serve(int argc, char** argv) {
 
   // Slow queries survive the shutdown as one grep-able JSON line each.
   const std::vector<obs::SlowQueryRecord> slow =
-      backend->slow_query_log()->Snapshot();
+      engine.slow_query_log()->Snapshot();
   for (const obs::SlowQueryRecord& record : slow) {
     std::printf("lh_serve: slow-query %s\n", record.ToJsonLine().c_str());
   }
@@ -230,7 +237,7 @@ int Serve(int argc, char** argv) {
               stats.latency_ms_p50, stats.latency_ms_p99,
               stats.latency_ms_max,
               static_cast<unsigned long long>(
-                  backend->slow_query_log()->total_recorded()));
+                  engine.slow_query_log()->total_recorded()));
   return 0;
 }
 

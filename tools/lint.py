@@ -92,7 +92,6 @@ SPAN_TAXONOMY = {
     "wcoj",
     "materialize",
     "dense_blas",
-    "scatter",
 }
 
 # Rules that apply only under these directories.
