@@ -783,7 +783,8 @@ class NodeExec {
 
   // ---- Phase-split aggregate run (the full run = PrepareChunks, then
   // RunChunk for every chunk in any order / from any thread, then
-  // FoldChunks). ExecuteJoin drives the chunks through the global pool.
+  // AbsorbChunkWorkers and FoldChunks). ExecuteJoin drives the chunks
+  // through the global pool.
   // Grain and skew threshold are functions of cardinalities only — chunk
   // and sub-task boundaries are merge boundaries for floating-point
   // partials, so they must not move with the thread count (results stay
@@ -850,25 +851,38 @@ class NodeExec {
     ReleaseWorker(std::move(holder));
   }
 
-  /// Folds the per-chunk partials in chunk order (the FP merge contract)
-  /// and absorbs worker tallies. Call once, after every RunChunk returned.
-  GroupAccum FoldChunks() {
-    GroupAccum result(key_width_, &plan_.aggs);
-    for (int64_t c = 0; c < num_chunks_; ++c) {
-      if (chunk_out_[c] == nullptr) continue;
-      if (append_mode_) {
-        result.ConcatFrom(*chunk_out_[c]);
-      } else {
-        result.MergeFrom(*chunk_out_[c]);
-      }
-    }
-    chunk_out_.clear();
+  /// Absorbs the chunk workers' tallies (leaves(), nodes_visited()). Call
+  /// once, after every RunChunk returned.
+  void AbsorbChunkWorkers() {
     if (seed_ != nullptr) AbsorbWorker(*seed_);
     seed_.reset();
     MutexLock lock(&scratch_mu_);
     for (const auto& w : free_workers_) AbsorbWorker(*w);
     free_workers_.clear();
-    return result;
+  }
+
+  /// Hands over the per-chunk partials as the result's parts, in chunk
+  /// order (the FP merge contract). Hash mode merges them into one table.
+  /// Append mode keeps each chunk's table — chunks cover ascending root
+  /// ranges, so the concatenation is in key order — and only resolves the
+  /// groups that straddle chunk boundaries (ResolveBoundaryGroups). Call
+  /// once, after every RunChunk returned.
+  std::vector<std::unique_ptr<GroupAccum>> FoldChunks() {
+    std::vector<std::unique_ptr<GroupAccum>> parts;
+    if (append_mode_) {
+      for (auto& chunk : chunk_out_) {
+        if (chunk != nullptr) parts.push_back(std::move(chunk));
+      }
+      GroupAccum::ResolveBoundaryGroups(parts);
+    } else {
+      auto merged = std::make_unique<GroupAccum>(key_width_, &plan_.aggs);
+      for (const auto& chunk : chunk_out_) {
+        if (chunk != nullptr) merged->MergeFrom(*chunk);
+      }
+      parts.push_back(std::move(merged));
+    }
+    chunk_out_.clear();
+    return parts;
   }
 
   /// Leaves reached (tuples emitted) across all runs on this node.
@@ -2008,7 +2022,7 @@ struct ScanState {
       if (p != nullptr) total.MergeFrom(*p);
     }
     timing->exec_ms += t.ElapsedMillis();
-    QueryResult result = MaterializeGroups(plan, total, dim_infos);
+    QueryResult result = MaterializeGroups(plan, {&total}, dim_infos);
     if (qobs != nullptr) {
       qobs->stats.CountTuplesEmitted(result.num_rows);
       qobs->node_tuples.assign(1, result.num_rows);
@@ -2232,8 +2246,8 @@ Result<QueryResult> ExecuteDense(const PhysicalPlan& plan,
 /// Phase-split join execution: Prepare builds tries, runs the Yannakakis
 /// semijoin children, and computes the root node's chunk layout — all on
 /// the calling thread; RunChunk executes one root chunk (thread-safe for
-/// distinct chunks); Gather folds partials in chunk order and
-/// materializes. ExecuteJoin drives the chunks through the global pool.
+/// distinct chunks); Gather hands the partials, in chunk order, to
+/// MaterializeGroups. ExecuteJoin drives the chunks through the global pool.
 struct JoinState {
   JoinState(const PhysicalPlan& p, const Catalog& c, TrieCache* tc,
             QueryResult::Timing* tm, obs::QueryObs* qo, const QueryGuard* g)
@@ -2363,7 +2377,7 @@ struct JoinState {
   }
 
   Result<QueryResult> Gather() {
-    GroupAccum groups = root->FoldChunks();
+    root->AbsorbChunkWorkers();
     LH_RETURN_NOT_OK(root->abort_status());
     if (qobs != nullptr) {
       qobs->node_tuples[0] = root->leaves();
@@ -2376,7 +2390,11 @@ struct JoinState {
 
     WallTimer mt;
     obs::TraceSpan mat_span(trace, "materialize");
-    QueryResult result = MaterializeGroups(plan, groups, dim_infos);
+    const std::vector<std::unique_ptr<GroupAccum>> owned = root->FoldChunks();
+    std::vector<const GroupAccum*> parts;
+    for (const auto& p : owned) parts.push_back(p.get());
+    QueryResult result = MaterializeGroups(plan, parts, dim_infos);
+    mat_span.AddMetric("parts", static_cast<double>(parts.size()));
     mat_span.AddMetric("rows", static_cast<double>(result.num_rows));
     mat_span.End();
     timing->exec_ms += mt.ElapsedMillis();

@@ -5,6 +5,7 @@
 
 #include "core/expr_eval.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace levelheaded {
 
@@ -132,10 +133,30 @@ void GroupAccum::ConcatFrom(const GroupAccum& other) {
     CombineInto(accs_.data() + (num_groups() - 1) * stride_, other.accs(0));
     start = 1;
   }
-  for (size_t g = start; g < other.num_groups(); ++g) {
-    AppendGroup(other.key(g));
-    std::memcpy(accs_.data() + (num_groups() - 1) * stride_, other.accs(g),
-                stride_ * sizeof(double));
+  if (key_width_ == 0) scalar_groups_ += other.num_groups() - start;
+  keys_.insert(keys_.end(), other.keys_.begin() + start * key_width_,
+               other.keys_.end());
+  accs_.insert(accs_.end(), other.accs_.begin() + start * stride_,
+               other.accs_.end());
+}
+
+void GroupAccum::ResolveBoundaryGroups(
+    const std::vector<std::unique_ptr<GroupAccum>>& parts) {
+  GroupAccum* prev = nullptr;
+  for (const auto& part : parts) {
+    GroupAccum* next = part.get();
+    if (next->num_groups() == 0) continue;
+    LH_DCHECK(next->key_width_ > 0 && next->index_.empty());
+    const size_t n = prev == nullptr ? 0 : prev->num_groups();
+    if (n > 0 && std::memcmp(prev->key(n - 1), next->key(0),
+                             prev->key_width_ * sizeof(uint64_t)) == 0) {
+      double* last = prev->acc_mut(n - 1);
+      prev->CombineInto(last, next->accs(0));
+      std::memcpy(next->acc_mut(0), last, prev->stride_ * sizeof(double));
+      prev->keys_.resize(prev->keys_.size() - prev->key_width_);
+      prev->accs_.resize(prev->accs_.size() - prev->stride_);
+    }
+    prev = next;
   }
 }
 
@@ -300,109 +321,215 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
   return EvalOutputExpr(e, plan, groups, dim_infos, g) != 0;
 }
 
-QueryResult MaterializeGroups(const PhysicalPlan& plan,
-                              const GroupAccum& groups,
-                              const std::vector<DimInfo>& dim_infos) {
-  QueryResult result;
-  // HAVING: select surviving groups first.
-  std::vector<size_t> rows;
-  rows.reserve(groups.num_groups());
-  for (size_t g = 0; g < groups.num_groups(); ++g) {
-    if (plan.query.having == nullptr ||
-        EvalHaving(*plan.query.having, plan, groups, dim_infos, g)) {
-      rows.push_back(g);
+namespace {
+
+/// How one output column is decoded from a group.
+enum class ColumnFill : uint8_t {
+  kCode,        // dictionary code of a string dimension, kept encoded
+  kString,      // string dimension, decoded
+  kDecodedInt,  // integer-domain key vertex, decoded through its dictionary
+  kRawInt,      // kInt / kDate dimension stored as is
+  kRealKey,     // bit-cast double dimension
+  kAgg,         // finalized aggregate slot
+  kExpr,        // post-aggregation expression
+};
+
+ColumnFill FillOf(const OutputItem& out, const PhysicalPlan& plan,
+                  const std::vector<DimInfo>& dim_infos) {
+  if (out.direct_group_index < 0) {
+    return out.direct_agg_slot >= 0 ? ColumnFill::kAgg : ColumnFill::kExpr;
+  }
+  const DimInfo& info = dim_infos[out.direct_group_index];
+  switch (info.kind) {
+    case DimKind::kKeyVertex:
+      if (info.dict->type() != ValueType::kString) {
+        return ColumnFill::kDecodedInt;
+      }
+      [[fallthrough]];
+    case DimKind::kStringCode:
+      return plan.options.keep_strings_encoded ? ColumnFill::kCode
+                                               : ColumnFill::kString;
+    case DimKind::kInt:
+    case DimKind::kDate:
+      return ColumnFill::kRawInt;
+    case DimKind::kReal:
+      return ColumnFill::kRealKey;
+  }
+  return ColumnFill::kExpr;
+}
+
+/// Groups per materialization slice. Results of at most one slice decode
+/// inline on the calling thread.
+constexpr size_t kMaterializeGrain = 16384;
+
+/// The groups of `parts` read as one concatenated sequence: global group
+/// i lives in the part p with starts[p] <= i < starts[p + 1].
+struct GroupSequence {
+  const std::vector<const GroupAccum*>& parts;
+  std::vector<size_t> starts;
+
+  explicit GroupSequence(const std::vector<const GroupAccum*>& p)
+      : parts(p), starts(p.size() + 1, 0) {
+    for (size_t i = 0; i < p.size(); ++i) {
+      starts[i + 1] = starts[i] + p[i]->num_groups();
     }
   }
-  const size_t n = rows.size();
+  size_t size() const { return starts.back(); }
+
+  /// Calls fn(groups, local_index, global_index) for global groups
+  /// [lo, hi) in order.
+  template <typename Fn>
+  void ForEach(size_t lo, size_t hi, Fn&& fn) const {
+    size_t p = static_cast<size_t>(
+        std::upper_bound(starts.begin(), starts.end(), lo) - starts.begin() -
+        1);
+    for (size_t i = lo; i < hi;) {
+      while (i >= starts[p + 1]) ++p;  // skips empty parts
+      const size_t end = std::min(hi, starts[p + 1]);
+      for (; i < end; ++i) fn(*parts[p], i - starts[p], i);
+    }
+  }
+};
+
+}  // namespace
+
+QueryResult MaterializeGroups(const PhysicalPlan& plan,
+                              const std::vector<const GroupAccum*>& parts,
+                              const std::vector<DimInfo>& dim_infos) {
+  const GroupSequence seq(parts);
+  const size_t total = seq.size();
+  const int64_t num_slices = static_cast<int64_t>(
+      (total + kMaterializeGrain - 1) / kMaterializeGrain);
+  auto slice_lo = [&](int64_t s) {
+    return static_cast<size_t>(s) * kMaterializeGrain;
+  };
+  auto slice_hi = [&](int64_t s) {
+    return std::min(total, static_cast<size_t>(s + 1) * kMaterializeGrain);
+  };
+  ThreadPool& pool = ThreadPool::Global();
+
+  // HAVING: mark surviving groups and count them per slice; the prefix sum
+  // of the counts is each slice's first output row.
+  std::vector<uint8_t> keep;
+  std::vector<size_t> out_start(num_slices + 1, 0);
+  if (plan.query.having != nullptr) {
+    keep.resize(total);
+    pool.ParallelChunks(0, num_slices, 1, [&](int, int64_t lo, int64_t hi) {
+      for (int64_t s = lo; s < hi; ++s) {
+        size_t kept = 0;
+        seq.ForEach(slice_lo(s), slice_hi(s),
+                    [&](const GroupAccum& groups, size_t g, size_t i) {
+                      keep[i] = EvalHaving(*plan.query.having, plan, groups,
+                                           dim_infos, g);
+                      kept += keep[i];
+                    });
+        out_start[s + 1] = kept;
+      }
+    });
+  } else {
+    for (int64_t s = 0; s < num_slices; ++s) {
+      out_start[s + 1] = slice_hi(s) - slice_lo(s);
+    }
+  }
+  for (int64_t s = 0; s < num_slices; ++s) out_start[s + 1] += out_start[s];
+  const size_t n = out_start.back();
+
+  QueryResult result;
   result.num_rows = n;
+  std::vector<ColumnFill> fills;
   for (const OutputItem& out : plan.query.outputs) {
+    const ColumnFill fill = FillOf(out, plan, dim_infos);
+    fills.push_back(fill);
     ResultColumn col;
     col.name = out.name;
-    if (out.direct_group_index >= 0) {
-      const size_t d = out.direct_group_index;
-      const DimInfo& info = dim_infos[d];
-      switch (info.kind) {
-        case DimKind::kKeyVertex: {
-          if (info.dict->type() == ValueType::kString) {
-            col.type = ValueType::kString;
-            if (plan.options.keep_strings_encoded) {
-              col.dict = info.dict;
-              col.codes.reserve(n);
-              for (size_t r = 0; r < n; ++r) {
-                col.codes.push_back(
-                    static_cast<uint32_t>(groups.key(rows[r])[d]));
-              }
-              break;
-            }
-            col.strs.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.strs.push_back(info.dict->DecodeString(
-                  static_cast<uint32_t>(groups.key(rows[r])[d])));
-            }
-          } else {
-            col.type = ValueType::kInt64;
-            col.ints.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.ints.push_back(info.dict->DecodeInt(
-                  static_cast<uint32_t>(groups.key(rows[r])[d])));
-            }
-          }
-          break;
-        }
-        case DimKind::kStringCode: {
-          col.type = ValueType::kString;
-          if (plan.options.keep_strings_encoded) {
-            col.dict = info.dict;
-            col.codes.reserve(n);
-            for (size_t r = 0; r < n; ++r) {
-              col.codes.push_back(
-                  static_cast<uint32_t>(groups.key(rows[r])[d]));
-            }
-            break;
-          }
-          col.strs.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.strs.push_back(info.dict->DecodeString(
-                static_cast<uint32_t>(groups.key(rows[r])[d])));
-          }
-          break;
-        }
-        case DimKind::kInt:
-        case DimKind::kDate: {
-          col.type = info.kind == DimKind::kDate ? ValueType::kDate
-                                                 : ValueType::kInt64;
-          col.ints.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.ints.push_back(
-                static_cast<int64_t>(groups.key(rows[r])[d]));
-          }
-          break;
-        }
-        case DimKind::kReal: {
-          col.type = ValueType::kDouble;
-          col.reals.reserve(n);
-          for (size_t r = 0; r < n; ++r) {
-            col.reals.push_back(UnbitcastDouble(groups.key(rows[r])[d]));
-          }
-          break;
-        }
-      }
-    } else if (out.direct_agg_slot >= 0) {
-      col.type = ValueType::kDouble;
-      col.reals.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        col.reals.push_back(groups.Finalize(rows[r], out.direct_agg_slot));
-      }
-    } else {
-      col.type = ValueType::kDouble;
-      col.reals.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        col.reals.push_back(
-            EvalOutputExpr(*out.expr, plan, groups, dim_infos, rows[r]));
-      }
+    switch (fill) {
+      case ColumnFill::kCode:
+        col.type = ValueType::kString;
+        col.dict = dim_infos[out.direct_group_index].dict;
+        col.codes.resize(n);
+        break;
+      case ColumnFill::kString:
+        col.type = ValueType::kString;
+        col.strs.resize(n);
+        break;
+      case ColumnFill::kDecodedInt:
+        col.type = ValueType::kInt64;
+        col.ints.resize(n);
+        break;
+      case ColumnFill::kRawInt:
+        col.type = dim_infos[out.direct_group_index].kind == DimKind::kDate
+                       ? ValueType::kDate
+                       : ValueType::kInt64;
+        col.ints.resize(n);
+        break;
+      case ColumnFill::kRealKey:
+      case ColumnFill::kAgg:
+      case ColumnFill::kExpr:
+        col.type = ValueType::kDouble;
+        col.reals.resize(n);
+        break;
     }
     result.columns.push_back(std::move(col));
   }
+  if (n == 0) return result;
+
+  // Each slice writes its surviving groups to its own row range.
+  pool.ParallelChunks(0, num_slices, 1, [&](int, int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      for (size_t c = 0; c < fills.size(); ++c) {
+        const OutputItem& out = plan.query.outputs[c];
+        ResultColumn& col = result.columns[c];
+        size_t row = out_start[s];
+        auto fill = [&](auto&& cell) {
+          seq.ForEach(slice_lo(s), slice_hi(s),
+                      [&](const GroupAccum& groups, size_t g, size_t i) {
+                        if (keep.empty() || keep[i]) cell(row++, groups, g);
+                      });
+        };
+        const size_t d = static_cast<size_t>(out.direct_group_index);
+        switch (fills[c]) {
+          case ColumnFill::kCode:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.codes[r] = static_cast<uint32_t>(groups.key(g)[d]);
+            });
+            break;
+          case ColumnFill::kString:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.strs[r] = dim_infos[d].dict->DecodeString(
+                  static_cast<uint32_t>(groups.key(g)[d]));
+            });
+            break;
+          case ColumnFill::kDecodedInt:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.ints[r] = dim_infos[d].dict->DecodeInt(
+                  static_cast<uint32_t>(groups.key(g)[d]));
+            });
+            break;
+          case ColumnFill::kRawInt:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.ints[r] = static_cast<int64_t>(groups.key(g)[d]);
+            });
+            break;
+          case ColumnFill::kRealKey:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.reals[r] = UnbitcastDouble(groups.key(g)[d]);
+            });
+            break;
+          case ColumnFill::kAgg:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.reals[r] = groups.Finalize(g, out.direct_agg_slot);
+            });
+            break;
+          case ColumnFill::kExpr:
+            fill([&](size_t r, const GroupAccum& groups, size_t g) {
+              col.reals[r] =
+                  EvalOutputExpr(*out.expr, plan, groups, dim_infos, g);
+            });
+            break;
+        }
+      }
+    }
+  });
   return result;
 }
 

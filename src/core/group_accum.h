@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,6 +77,14 @@ class GroupAccum {
   void MergeFrom(const GroupAccum& other);
   /// Concatenates grouped tables arriving in global key order.
   void ConcatFrom(const GroupAccum& other);
+  /// Resolves the boundary groups of append-mode tables given in key
+  /// order. Serially and in order, a group whose key ends one non-empty
+  /// table and starts the next is combined exactly as ConcatFrom would
+  /// combine it (earlier part first), stored in the later table and
+  /// dropped from the earlier one. Afterwards every group lives in exactly
+  /// one table, with the value ConcatFrom into one table gives.
+  static void ResolveBoundaryGroups(
+      const std::vector<std::unique_ptr<GroupAccum>>& parts);
 
  private:
   struct U64VecHash {
@@ -112,10 +121,14 @@ bool EvalHaving(const Expr& e, const PhysicalPlan& plan,
                 const GroupAccum& groups,
                 const std::vector<DimInfo>& dim_infos, size_t g);
 
-/// Decodes a group table into the query's output columns, applying the
-/// query's HAVING filter when present.
+/// Decodes group tables into the query's output columns, applying the
+/// query's HAVING filter when present. `parts` are concatenated in order
+/// (one table, or append-mode chunk partials in key order) and must hold
+/// disjoint groups. Rows are decoded on the global pool in slices cut by
+/// row counts alone; each output cell depends only on its own group, so
+/// the result does not depend on the pool width.
 QueryResult MaterializeGroups(const PhysicalPlan& plan,
-                              const GroupAccum& groups,
+                              const std::vector<const GroupAccum*>& parts,
                               const std::vector<DimInfo>& dim_infos);
 
 /// Applies ORDER BY and LIMIT to a materialized result (all engines share

@@ -9,12 +9,16 @@
 //   - bit-identical query results across LH_THREADS ∈ {1, 2, 8} on a
 //     skewed graph where one hub owns most of the tuples (the shape that
 //     triggers heavy-root task splitting);
+//   - bit-identical SMM/SMV results across LH_THREADS ∈ {1, 2, 8} on a
+//     banded matrix whose append-mode result spans every root chunk, checked
+//     against the CSR kernels;
 //   - a nested-parallelism stress: ParallelChunks workers fanning out
 //     Submit/Wait sub-tasks concurrently.
 //
 // Registered under the `concurrency` ctest label so the TSan preset runs it.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -23,11 +27,13 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "la/sparse.h"
 #include "obs/profile.h"
 #include "set/intersect.h"
 #include "set/set.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/matrix_gen.h"
 
 namespace levelheaded {
 namespace {
@@ -327,6 +333,114 @@ TEST_F(ThreadCountDifferentialTest, SkewSplitterEngagesOnHubRoot) {
   const obs::StatsSnapshot& c = r.value().profile->counters;
   EXPECT_GT(c.exec_skew_splits, 0u);
   EXPECT_GT(c.pool_tasks_spawned, 0u);
+}
+
+// Sparse LA through the WCOJ path. Grouping by key vertices only runs in
+// append mode: each root chunk's partial is one slice of the key-ordered
+// result, groups that straddle a chunk boundary are carried across, and the
+// partials are materialized in parallel. A HarborLike matrix at this scale
+// has 960 rows, so AdaptiveGrain cuts the root into all 64 chunks, and its
+// SMM has more than 100k rows.
+class SparseLaThreadCountTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kVectorSeed = 22;
+
+  void SetUp() override {
+    matrix_ = HarborLike(0.0205);
+    ASSERT_TRUE(AddMatrixTable(&catalog_, "m", "idx", matrix_).ok());
+    ASSERT_TRUE(AddVectorTable(&catalog_, "x", "idx", matrix_.coo.num_rows,
+                               kVectorSeed)
+                    .ok());
+    ASSERT_TRUE(catalog_.Finalize().ok());
+  }
+
+  void TearDown() override { ThreadPool::SetGlobalThreadsForTesting(0); }
+
+  static constexpr const char* kSmv =
+      "SELECT m.r, sum(m.v * x.val) FROM m, x WHERE m.c = x.i GROUP BY m.r";
+  static constexpr const char* kSmm =
+      "SELECT m1.r, m2.c, sum(m1.v * m2.v) FROM m m1, m m2 "
+      "WHERE m1.c = m2.r GROUP BY m1.r, m2.c";
+
+  static void ExpectNear(double want, double got, const std::string& what) {
+    ASSERT_LE(std::fabs(got - want), 1e-9 * std::fabs(want)) << what;
+  }
+
+  SyntheticMatrix matrix_;
+  Catalog catalog_;
+};
+
+TEST_F(SparseLaThreadCountTest, SmmAndSmvBitIdenticalAndMatchCsrKernels) {
+  // No SortRows: the engine's own row order must be ascending and stable.
+  std::vector<QueryResult> reference;
+  for (int threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalThreadsForTesting(threads);
+    Engine engine(&catalog_);
+    std::vector<QueryResult> results;
+    for (const char* q : {kSmm, kSmv}) {
+      auto r = engine.Query(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      results.push_back(std::move(r).value());
+    }
+    if (reference.empty()) {
+      reference = std::move(results);
+      continue;
+    }
+    ExpectBitIdentical(reference[0], results[0],
+                       "SMM @ " + std::to_string(threads) + " threads");
+    ExpectBitIdentical(reference[1], results[1],
+                       "SMV @ " + std::to_string(threads) + " threads");
+  }
+
+  const CsrMatrix a = CooToCsr(matrix_.coo);
+  const CsrMatrix c = SpGEMM(a, a);
+  const QueryResult& smm = reference[0];
+  ASSERT_GT(smm.num_rows, 100000u);
+  ASSERT_EQ(smm.num_rows, c.nnz());
+  size_t row = 0;
+  for (int64_t i = 0; i < c.num_rows; ++i) {
+    for (int64_t e = c.row_ptr[i]; e < c.row_ptr[i + 1]; ++e, ++row) {
+      const std::string at = "SMM row " + std::to_string(row);
+      ASSERT_EQ(smm.columns[0].ints[row], i) << at;
+      ASSERT_EQ(smm.columns[1].ints[row], c.col_idx[e]) << at;
+      ExpectNear(c.values[e], smm.columns[2].reals[row], at);
+    }
+  }
+
+  Rng rng(kVectorSeed);  // AddVectorTable's values, in order
+  std::vector<double> x(a.num_cols), y(a.num_rows);
+  for (double& v : x) v = rng.UniformDouble();
+  SpMV(a, x.data(), y.data());
+  const QueryResult& smv = reference[1];
+  ASSERT_EQ(smv.num_rows, static_cast<size_t>(a.num_rows));
+  for (size_t i = 0; i < smv.num_rows; ++i) {
+    ASSERT_EQ(smv.columns[0].ints[i], static_cast<int64_t>(i));
+    ExpectNear(y[i], smv.columns[1].reals[i], "SMV row " + std::to_string(i));
+  }
+}
+
+// Result assembly is reported in the `materialize` span: its `rows` is the
+// result's row count and `parts` the number of chunk partials decoded.
+TEST_F(SparseLaThreadCountTest, SmmAnalyzeReportsMaterializeRowsAndParts) {
+  Engine engine(&catalog_);
+  auto r = engine.QueryAnalyze(kSmm);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r.value().profile, nullptr);
+  const obs::QueryProfile& profile = *r.value().profile;
+  int found = 0;
+  for (const obs::SpanRecord& s : profile.spans) {
+    if (s.name != "materialize") continue;
+    ++found;
+    double rows = -1, parts = -1;
+    for (const auto& [name, value] : s.metrics) {
+      if (name == "rows") rows = value;
+      if (name == "parts") parts = value;
+    }
+    EXPECT_EQ(rows, static_cast<double>(r.value().num_rows))
+        << profile.ToText();
+    EXPECT_GT(parts, 1) << profile.ToText();
+  }
+  EXPECT_EQ(found, 1) << profile.ToText();
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool

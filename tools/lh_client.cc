@@ -9,10 +9,13 @@
 // prints the raw JSON response line. SQL comes from the command line or,
 // when absent, one statement per stdin line.
 //
-// Flags:
-//   --port N         server port on 127.0.0.1 (required)
+// Flags (numeric values are parsed strictly: non-numeric text, a negative
+// value, or an out-of-range one prints the usage and exits 2 before
+// connecting):
+//   --port N         server port on 127.0.0.1 (required; 1 to 65535)
 //   --mode M         query | analyze | explain (default query)
-//   --timeout-ms X   per-request deadline (0 = server default)
+//   --timeout-ms X   per-request deadline in ms, finite and >= 0
+//                    (0 = server default)
 //   --stats          request the server.* counters instead of a query
 //   --metrics        print the Prometheus text exposition (unwrapped from
 //                    the {"metrics": true} response) instead of a query
@@ -21,12 +24,12 @@
 //                    trace_event JSON to F (open in Perfetto/about:tracing)
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "obs/json_writer.h"
+#include "util/flag_parse.h"
 #include "util/socket.h"
 
 namespace levelheaded {
@@ -39,6 +42,11 @@ int Usage(const char* argv0) {
                "       [--metrics] [--slowlog] [--trace-out F] [sql]\n",
                argv0);
   return 2;
+}
+
+int BadValue(const std::string& flag, const char* argv0) {
+  std::fprintf(stderr, "missing or bad value for %s\n", flag.c_str());
+  return Usage(argv0);
 }
 
 std::string BuildRequestLine(const std::string& sql, const std::string& mode,
@@ -159,17 +167,15 @@ int Run(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      port = static_cast<uint16_t>(std::atoi(v));
+      uint64_t n = 0;
+      if (!ParseCount(next(), 1, kMaxPort, &n)) return BadValue(arg, argv[0]);
+      port = static_cast<uint16_t>(n);
     } else if (arg == "--mode") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       mode = v;
     } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      timeout_ms = std::atof(v);
+      if (!ParseMillis(next(), &timeout_ms)) return BadValue(arg, argv[0]);
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--metrics") {

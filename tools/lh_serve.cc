@@ -30,13 +30,9 @@
 //                           span/cache attribution; shaves the per-query
 //                           counter bookkeeping)
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,13 +42,13 @@
 #include "server/server.h"
 #include "storage/schema_file.h"
 #include "storage/snapshot.h"
+#include "util/flag_parse.h"
 #include "util/signals.h"
 
 namespace levelheaded {
 namespace {
 
 constexpr size_t kDefaultMaxResultRows = 4'000'000;
-constexpr uint64_t kMaxPort = 65535;
 constexpr uint64_t kMaxWorkers = 1024;
 
 int Usage(const char* argv0) {
@@ -65,31 +61,6 @@ int Usage(const char* argv0) {
                "[--no-request-stats]\n",
                argv0);
   return 2;
-}
-
-/// Parses all of `text` as a decimal integer in [min, max]: no sign, no
-/// trailing characters. False for a missing value (nullptr).
-bool ParseCount(const char* text, uint64_t min, uint64_t max,
-                uint64_t* out) {
-  if (text == nullptr) return false;
-  const char* end = text + std::strlen(text);
-  uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-/// Parses all of `text` as a finite, non-negative number of milliseconds.
-bool ParseMillis(const char* text, double* out) {
-  if (text == nullptr) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 int Serve(int argc, char** argv) {
