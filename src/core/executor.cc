@@ -754,6 +754,30 @@ class NodeExec {
                        plan_.aggs[0].func == AggFunc::kSum &&
                        !agg_prog_ok_.empty() && agg_prog_ok_[0] &&
                        all_unique_;
+    key_width_ = dims_->size();
+    append_mode_ = !dims_->empty();
+    for (const DimInfo& d : *dims_) {
+      if (d.kind != DimKind::kKeyVertex) append_mode_ = false;
+      max_dim_pos_ = std::max(max_dim_pos_, d.vertex_pos);
+    }
+    // SMV's leaf: a SUM of the leaf pair's two real annotations into a group
+    // bound above the leaf. Their buffers go to IntersectDot in participant
+    // order (IEEE multiplication commutes, so the bits are the product's).
+    int sa, la, sb, lb;
+    const double *pa, *pb;
+    if (fast_single_sum_ && append_mode_ && max_dim_pos_ < k2 - 1 &&
+        fused_pair_[k2 - 1] &&
+        agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb)) {
+      const Participant& p0 = participants_[k2 - 1][0];
+      const Participant& p1 = participants_[k2 - 1][1];
+      const bool ab = sa == p0.slot && la == p0.level && sb == p1.slot &&
+                      lb == p1.level;
+      if (ab || (sa == p1.slot && la == p1.level && sb == p0.slot &&
+                 lb == p0.level)) {
+        dot0_ = ab ? pa : pb;
+        dot1_ = ab ? pb : pa;
+      }
+    }
   }
 
   void set_last_domain_size(uint32_t n) { last_domain_size_ = n; }
@@ -795,13 +819,6 @@ class NodeExec {
   /// Computes the root set and the chunk layout on the calling thread.
   /// After this, num_chunks() chunks (possibly zero) are runnable.
   void PrepareChunks() {
-    key_width_ = dims_->size();
-    append_mode_ = !dims_->empty();
-    max_dim_pos_ = -1;
-    for (const DimInfo& d : *dims_) {
-      if (d.kind != DimKind::kKeyVertex) append_mode_ = false;
-      max_dim_pos_ = std::max(max_dim_pos_, d.vertex_pos);
-    }
     seed_ = std::make_unique<Worker>();
     InitWorker(seed_.get(), key_width_);
     const SetView* root = ComputeSet(seed_.get(), 0);
@@ -1284,8 +1301,8 @@ class NodeExec {
   }
 
   /// Deepest-attribute fast path for exactly two participating relations:
-  /// one ranked intersection replaces the per-value Rank() descents — the
-  /// loop shape generated code produces (Figure 4).
+  /// one ranked intersection (for SMV's product sum, one IntersectDot)
+  /// replaces the per-value Rank() descents — Figure 4's loop shape.
   void FusedLeafLoop(Worker* w, int depth) {
     const Participant& p0 = participants_[depth][0];
     const Participant& p1 = participants_[depth][1];
@@ -1298,19 +1315,24 @@ class NodeExec {
     const SetView s0 = t0.level(p0.level).set(si0);
     const SetView s1 = t1.level(p1.level).set(si1);
     if (s0.empty() || s1.empty()) return;
-    const uint32_t cap = std::min(s0.cardinality, s1.cardinality);
-    if (w->fused_vals.size() < cap) {
-      w->fused_vals.resize(cap);
-      w->fused_ra.resize(cap);
-      w->fused_rb.resize(cap);
-    }
-    const uint32_t n = IntersectRanked(s0, s1, w->fused_vals.data(),
-                                       w->fused_ra.data(),
-                                       w->fused_rb.data());
-    if (n == 0) return;
-    w->nodes_visited += 2ull * n;
     const uint32_t base0 = t0.level(p0.level).base_rank(si0);
     const uint32_t base1 = t1.level(p1.level).base_rank(si1);
+    double sum = 0;
+    uint32_t n;
+    if (dot0_ != nullptr) {
+      sum = IntersectDot(s0, s1, dot0_ + base0, dot1_ + base1, &n);
+    } else {
+      const uint32_t cap = std::min(s0.cardinality, s1.cardinality);
+      if (w->fused_vals.size() < cap) {
+        w->fused_vals.resize(cap);
+        w->fused_ra.resize(cap);
+        w->fused_rb.resize(cap);
+      }
+      n = IntersectRanked(s0, s1, w->fused_vals.data(), w->fused_ra.data(),
+                          w->fused_rb.data());
+    }
+    if (n == 0) return;
+    w->nodes_visited += 2ull * n;
     if (fast_single_sum_ && append_mode_) {
       w->leaf_count += n;
       // Single SUM over unique-key relations with compiled argument: the
@@ -1320,39 +1342,14 @@ class NodeExec {
         // group once and accumulate the whole intersection into it.
         EncodeGroupKey(w);
         double* acc = w->groups->AppendOrLast(w->group_key.data());
-        int sa, la, sb, lb;
-        const double *pa, *pb;
-        if (agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb) &&
-            sa == p0.slot && la == p0.level && sb == p1.slot &&
-            lb == p1.level) {
-          double sum = 0;
-          const double* va = pa + base0;
-          const double* vb = pb + base1;
+        if (dot0_ == nullptr) {
           for (uint32_t i = 0; i < n; ++i) {
-            sum += va[w->fused_ra[i]] * vb[w->fused_rb[i]];
+            w->ranks[p0.slot][p0.level] = base0 + w->fused_ra[i];
+            w->ranks[p1.slot][p1.level] = base1 + w->fused_rb[i];
+            sum += agg_progs_[0].Eval([&](int slot, int level) {
+              return RankCursor(*w, slot, level);
+            });
           }
-          acc[0] += sum;
-          return;
-        }
-        if (agg_progs_[0].AsRealProduct(&sa, &la, &pa, &sb, &lb, &pb) &&
-            sa == p1.slot && la == p1.level && sb == p0.slot &&
-            lb == p0.level) {
-          double sum = 0;
-          const double* va = pa + base1;
-          const double* vb = pb + base0;
-          for (uint32_t i = 0; i < n; ++i) {
-            sum += va[w->fused_rb[i]] * vb[w->fused_ra[i]];
-          }
-          acc[0] += sum;
-          return;
-        }
-        double sum = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-          w->ranks[p0.slot][p0.level] = base0 + w->fused_ra[i];
-          w->ranks[p1.slot][p1.level] = base1 + w->fused_rb[i];
-          sum += agg_progs_[0].Eval([&](int slot, int level) {
-            return RankCursor(*w, slot, level);
-          });
         }
         acc[0] += sum;
         return;
@@ -1437,14 +1434,13 @@ class NodeExec {
         acc[0] += fixed * values[r];
       });
     });
-    FlushRelaxed(w, depth, stride);
+    FlushRelaxed(w, stride);
     return true;
   }
 
   /// Emits one leaf per touched last-attribute value, ascending.
-  void FlushRelaxed(Worker* w, int depth, size_t stride) {
+  void FlushRelaxed(Worker* w, size_t stride) {
     const int k = static_cast<int>(node_.attr_order.size());
-    (void)depth;
     w->leaf_count += w->relax_touched.size();
     std::sort(w->relax_touched.begin(), w->relax_touched.end());
     for (uint32_t m : w->relax_touched) {
@@ -1509,7 +1505,7 @@ class NodeExec {
         w->groups->Apply(acc, w->agg_main.data(), w->agg_aux.data());
       });
     });
-    FlushRelaxed(w, depth, stride);
+    FlushRelaxed(w, stride);
   }
 
   /// CellAccessor over the current leaf.
@@ -1821,6 +1817,9 @@ class NodeExec {
   std::vector<uint8_t> agg_prog_ok_;
   bool all_unique_ = false;
   bool fast_single_sum_ = false;
+  // SMV leaf: the leaf pair's annotation buffers, or null (see the ctor).
+  const double* dot0_ = nullptr;
+  const double* dot1_ = nullptr;
   int max_dim_pos_ = -1;
   std::vector<bool> direct_;
   std::vector<bool> fused_pair_;

@@ -263,18 +263,19 @@ uint32_t IntersectCount(const SetView& a, const SetView& b) {
 
 namespace {
 
-uint32_t IntersectRankedImpl(const SetView& a, const SetView& b, uint32_t* vals,
-                             uint32_t* rank_a, uint32_t* rank_b) {
-  uint32_t n = 0;
+// Calls emit(v, rank_a, rank_b) for every v in a ∩ b (both non-empty), in
+// ascending v: a merge for uint∩uint, a word AND for bitset∩bitset, and a
+// probe of the uint side into the bitset otherwise. The one walk behind
+// IntersectRanked (which stores the ranks) and IntersectDot (which
+// multiplies through them).
+template <typename Emit>
+void ForEachRanked(const SetView& a, const SetView& b, Emit&& emit) {
   if (a.layout == SetLayout::kUint && b.layout == SetLayout::kUint) {
     uint32_t i = 0, j = 0;
     while (i < a.cardinality && j < b.cardinality) {
       const uint32_t va = a.values[i], vb = b.values[j];
       if (va == vb) {
-        vals[n] = va;
-        rank_a[n] = i;
-        rank_b[n] = j;
-        ++n;
+        emit(va, i, j);
         ++i;
         ++j;
       } else if (va < vb) {
@@ -283,14 +284,14 @@ uint32_t IntersectRankedImpl(const SetView& a, const SetView& b, uint32_t* vals,
         ++j;
       }
     }
-    return n;
+    return;
   }
   if (a.layout == SetLayout::kBitset && b.layout == SetLayout::kBitset) {
     const uint32_t base = std::max(a.word_base, b.word_base);
     const uint32_t a_end = a.word_base + a.num_words * bits::kWordBits;
     const uint32_t b_end = b.word_base + b.num_words * bits::kWordBits;
     const uint32_t end = std::min(a_end, b_end);
-    if (base >= end) return 0;
+    if (base >= end) return;
     const uint32_t nw = (end - base) / bits::kWordBits;
     const uint32_t oa = (base - a.word_base) / bits::kWordBits;
     const uint32_t ob = (base - b.word_base) / bits::kWordBits;
@@ -300,23 +301,18 @@ uint32_t IntersectRankedImpl(const SetView& a, const SetView& b, uint32_t* vals,
       while (word != 0) {
         const int bit = bits::CountTrailingZeros(word);
         const uint64_t below = bits::LowMask(static_cast<uint32_t>(bit));
-        vals[n] = vbase + static_cast<uint32_t>(bit);
-        rank_a[n] = a.word_ranks[oa + w] +
-                    bits::PopCount(a.words[oa + w] & below);
-        rank_b[n] = b.word_ranks[ob + w] +
-                    bits::PopCount(b.words[ob + w] & below);
-        ++n;
+        emit(vbase + static_cast<uint32_t>(bit),
+             a.word_ranks[oa + w] + bits::PopCount(a.words[oa + w] & below),
+             b.word_ranks[ob + w] + bits::PopCount(b.words[ob + w] & below));
         word &= word - 1;
       }
     }
-    return n;
+    return;
   }
   // Mixed: probe the uint side into the bitset.
   const bool a_is_uint = a.layout == SetLayout::kUint;
   const SetView& u = a_is_uint ? a : b;
   const SetView& bs = a_is_uint ? b : a;
-  uint32_t* rank_u = a_is_uint ? rank_a : rank_b;
-  uint32_t* rank_bs = a_is_uint ? rank_b : rank_a;
   for (uint32_t i = 0; i < u.cardinality; ++i) {
     const uint32_t v = u.values[i];
     if (v < bs.word_base) continue;
@@ -325,14 +321,15 @@ uint32_t IntersectRankedImpl(const SetView& a, const SetView& b, uint32_t* vals,
     if (w >= bs.num_words) break;
     const uint32_t bit = off % bits::kWordBits;
     if ((bs.words[w] >> bit) & 1ULL) {
-      vals[n] = v;
-      rank_u[n] = i;
-      rank_bs[n] =
+      const uint32_t r =
           bs.word_ranks[w] + bits::PopCount(bs.words[w] & bits::LowMask(bit));
-      ++n;
+      if (a_is_uint) {
+        emit(v, i, r);
+      } else {
+        emit(v, r, i);
+      }
     }
   }
-  return n;
 }
 
 }  // namespace
@@ -340,11 +337,39 @@ uint32_t IntersectRankedImpl(const SetView& a, const SetView& b, uint32_t* vals,
 uint32_t IntersectRanked(const SetView& a, const SetView& b, uint32_t* vals,
                          uint32_t* rank_a, uint32_t* rank_b) {
   if (a.empty() || b.empty()) return 0;
-  const uint32_t n = IntersectRankedImpl(a, b, vals, rank_a, rank_b);
+  uint32_t n = 0;
+  ForEachRanked(a, b, [&](uint32_t v, uint32_t ra, uint32_t rb) {
+    vals[n] = v;
+    rank_a[n] = ra;
+    rank_b[n] = rb;
+    ++n;
+  });
   if (obs::ExecStats* stats = obs::ActiveStats()) {
     stats->CountIntersect(KernelFor(a, b), n);
   }
   return n;
+}
+
+double IntersectDot(const SetView& a, const SetView& b, const double* wa,
+                    const double* wb, uint32_t* count) {
+  if (a.empty() || b.empty()) {
+    *count = 0;
+    return 0;
+  }
+  // The product-sum is the same `sum += wa[..] * wb[..]` expression as the
+  // reference loops (IntersectRanked + gather, la::SpMVNaive), so the
+  // compiler contracts it (or not) the same way and the bits agree.
+  double sum = 0;
+  uint32_t n = 0;
+  ForEachRanked(a, b, [&](uint32_t, uint32_t ra, uint32_t rb) {
+    sum += wa[ra] * wb[rb];
+    ++n;
+  });
+  *count = n;
+  if (obs::ExecStats* stats = obs::ActiveStats()) {
+    stats->CountIntersect(KernelFor(a, b), n);
+  }
+  return sum;
 }
 
 std::vector<uint32_t> UnionValues(const SetView& a, const SetView& b) {

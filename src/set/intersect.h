@@ -102,6 +102,14 @@ uint32_t IntersectCount(const SetView& a, const SetView& b);
 uint32_t IntersectRanked(const SetView& a, const SetView& b, uint32_t* vals,
                          uint32_t* rank_a, uint32_t* rank_b);
 
+/// Σ wa[rank_a(v)] * wb[rank_b(v)] over v ∈ a ∩ b: the intersection fused
+/// with the multiply-sum over its ranks, in one pass with no value or rank
+/// buffers (Figure 4's innermost loop). The sum starts at 0 and adds the
+/// products in ascending v, so it is bit-identical to IntersectRanked
+/// followed by an ascending gather. Writes |a ∩ b| to `*count`.
+double IntersectDot(const SetView& a, const SetView& b, const double* wa,
+                    const double* wb, uint32_t* count);
+
 /// Sorted union of two sets' values (used by tests and 1-attribute unions).
 std::vector<uint32_t> UnionValues(const SetView& a, const SetView& b);
 

@@ -12,6 +12,8 @@
 //   - bit-identical SMM/SMV results across LH_THREADS ∈ {1, 2, 8} on a
 //     banded matrix whose append-mode result spans every root chunk, checked
 //     against the CSR kernels;
+//   - SMV's fused intersect-dot leaf equal (==) to the ascending CSR loop
+//     for a full, a gapped and a WHERE-cut x at every pool width;
 //   - a nested-parallelism stress: ParallelChunks workers fanning out
 //     Submit/Wait sub-tasks concurrently.
 //
@@ -21,7 +23,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -441,6 +445,117 @@ TEST_F(SparseLaThreadCountTest, SmmAnalyzeReportsMaterializeRowsAndParts) {
     EXPECT_GT(parts, 1) << profile.ToText();
   }
   EXPECT_EQ(found, 1) << profile.ToText();
+}
+
+// SMV's leaf is one fused IntersectDot per row (DESIGN.md §2). Its sums must
+// equal the CSR loop's bit for bit: a sum starting at 0 that adds
+// v * x[c] in ascending column c. Three shapes of x: over the whole domain
+// (a dense set at word_base 0), with every 7th index missing, and cut by
+// WHERE to a subrange (a dense set at a nonzero word_base that covers only
+// part of each row). Two matrices give rows as bitsets (harbor-like, 960 rows) and
+// mostly as uint arrays (hv15r-like, 2,400 rows with far off-band runs).
+TEST(SmvFusedLeafTest, SumsEqualAscendingCsrLoopAtEveryPoolWidth) {
+  struct Case {
+    const char* name;
+    SyntheticMatrix matrix;
+  };
+  const Case cases[] = {{"harbor", HarborLike(0.0205)},
+                        {"hv15r", Hv15rLike(0.02)}};
+  constexpr int64_t kLo = 100, kHi = 700;  // the WHERE-cut subrange [lo, hi)
+  using Rows = std::vector<std::pair<int64_t, double>>;  // (row, sum)
+  Catalog catalog;
+  std::vector<std::vector<double>> xs;
+  for (const Case& c : cases) {
+    const std::string name = c.name;
+    ASSERT_TRUE(AddMatrixTable(&catalog, name, name, c.matrix).ok());
+    ASSERT_TRUE(AddVectorTable(&catalog, name + "_x", name,
+                               c.matrix.coo.num_rows, /*seed=*/31)
+                    .ok());
+    Table* x7 = catalog
+                    .CreateTable(TableSchema(
+                        name + "_x7",
+                        {ColumnSpec::Key("i", ValueType::kInt64, name),
+                         ColumnSpec::Annotation("val", ValueType::kDouble)}))
+                    .ValueOrDie();
+    Rng rng(37);
+    std::vector<double> x(c.matrix.coo.num_rows);
+    for (double& v : x) v = rng.UniformDouble(-1, 1);
+    for (int64_t i = 0; i < c.matrix.coo.num_rows; ++i) {
+      if (i % 7 == 3) continue;
+      ASSERT_TRUE(x7->AppendRow({Value::Int(i), Value::Real(x[i])}).ok());
+    }
+    xs.push_back(std::move(x));
+  }
+  ASSERT_TRUE(catalog.Finalize().ok());
+
+  for (size_t ci = 0; ci < std::size(cases); ++ci) {
+    const std::string name = cases[ci].name;
+    const CsrMatrix a = CooToCsr(cases[ci].matrix.coo);
+    Rng rng(31);  // AddVectorTable's values, in order
+    std::vector<double> x(a.num_cols), y(a.num_rows);
+    for (double& v : x) v = rng.UniformDouble();
+    SpMVNaive(a, x.data(), y.data());
+    // The same loop over the columns `keep` admits, for the x7 and WHERE
+    // shapes: rows with no admitted column have no group, so no result row.
+    auto ascending_loop = [&](const std::vector<double>& xv, auto keep) {
+      Rows rows;
+      for (int64_t r = 0; r < a.num_rows; ++r) {
+        double acc = 0;
+        bool any = false;
+        for (int64_t e = a.row_ptr[r]; e < a.row_ptr[r + 1]; ++e) {
+          if (!keep(a.col_idx[e])) continue;
+          acc += a.values[e] * xv[a.col_idx[e]];
+          any = true;
+        }
+        if (any) rows.emplace_back(r, acc);
+      }
+      return rows;
+    };
+    Rows full;
+    for (int64_t r = 0; r < a.num_rows; ++r) full.emplace_back(r, y[r]);
+    const auto gaps =
+        ascending_loop(xs[ci], [](int64_t c) { return c % 7 != 3; });
+    const auto cut =
+        ascending_loop(x, [](int64_t c) { return c >= kLo && c < kHi; });
+    ASSERT_LT(cut.size(), static_cast<size_t>(a.num_rows));
+    const std::string smv = "SELECT m.r, sum(m.v * x.val) FROM " + name +
+                            " m, ";
+    const std::pair<std::string, const Rows*> queries[] = {
+        {smv + name + "_x x WHERE m.c = x.i GROUP BY m.r", &full},
+        {smv + name + "_x7 x WHERE m.c = x.i GROUP BY m.r", &gaps},
+        {smv + name + "_x x WHERE m.c = x.i AND x.i >= " +
+             std::to_string(kLo) + " AND x.i < " + std::to_string(kHi) +
+             " GROUP BY m.r",
+         &cut},
+    };
+    for (int threads : {1, 2, 8}) {
+      ThreadPool::SetGlobalThreadsForTesting(threads);
+      Engine engine(&catalog);
+      for (const auto& [sql, want] : queries) {
+        const std::string at = sql + " @ " + std::to_string(threads);
+        auto r = engine.Query(sql);
+        ASSERT_TRUE(r.ok()) << at << ": " << r.status().ToString();
+        const QueryResult& got = r.value();
+        ASSERT_EQ(got.num_rows, want->size()) << at;
+        for (size_t i = 0; i < got.num_rows; ++i) {
+          ASSERT_EQ(got.columns[0].ints[i], (*want)[i].first) << at;
+          ASSERT_EQ(got.columns[1].reals[i], (*want)[i].second)
+              << at << " row " << (*want)[i].first;
+        }
+      }
+    }
+    ThreadPool::SetGlobalThreadsForTesting(0);
+
+    // The fused leaf still counts one intersection result and one emitted
+    // tuple per nonzero (x covers every column).
+    Engine engine(&catalog);
+    auto r = engine.QueryAnalyze(queries[0].first);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r.value().profile, nullptr);
+    const obs::StatsSnapshot& c = r.value().profile->counters;
+    EXPECT_EQ(c.intersect_result_values, a.nnz()) << name;
+    EXPECT_EQ(c.tuples_emitted, a.nnz()) << name;
+  }
 }
 
 // The partitioned trie build (engaged above ~16k rows regardless of pool
